@@ -67,6 +67,10 @@ void FlushEngine::EagerFlushPage(Mm& mm, EffAddr ea) {
         ++count_;
         inner_.Charge(pa, is_write);
       }
+      void ChargeRun(PhysAddr pa, uint32_t stride, uint32_t n, bool is_write) override {
+        count_ += n;
+        inner_.ChargeRun(pa, stride, n, is_write);
+      }
 
      private:
       MemCharger& inner_;

@@ -55,7 +55,7 @@ class MemManager {
   PageAllocator& allocator() { return allocator_; }
 
  private:
-  // Zeroes `frame` with per-line charged stores, through the cache or around it.
+  // Zeroes `frame` with one charged store per line, through the cache or around it.
   void ZeroFrameCharged(uint32_t frame, bool cached);
 
   Machine& machine_;

@@ -10,6 +10,18 @@ namespace {
 
 bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+// The first slot of `pteg` satisfying `pred`, or kPtesPerPteg when none does. Found on the
+// host first, so the probe's charged reads can go out as one run.
+template <typename Pteg, typename Pred>
+uint32_t FirstSlot(const Pteg& pteg, Pred pred) {
+  for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+    if (pred(pteg[s])) {
+      return s;
+    }
+  }
+  return kPtesPerPteg;
+}
+
 // The 19 low-order VSID bits participate in the architected primary hash.
 constexpr uint32_t kHashVsidMask = 0x7FFFF;
 
@@ -37,14 +49,12 @@ HtabSearchResult HashTable::Search(VirtPage vp, MemCharger& charger) const {
   HtabSearchResult result;
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      ++result.memory_refs;
-      if (ptegs_[g][s].Matches(vp)) {
-        result.found = true;
-        result.pte = ptegs_[g][s];
-        return result;
-      }
+    const uint32_t s = FirstSlot(ptegs_[g], [&](const HashedPte& p) { return p.Matches(vp); });
+    result.memory_refs += ChargeProbe(g, s, charger);
+    if (s < kPtesPerPteg) {
+      result.found = true;
+      result.pte = ptegs_[g][s];
+      return result;
     }
   }
   return result;
@@ -58,13 +68,12 @@ HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& orac
   // Pass 1: look for a free slot, charging a read per probe (the reload code examines each
   // candidate slot's valid bit).
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (!ptegs_[g][s].valid) {
-        ptegs_[g][s] = pte;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return HtabInsertOutcome::kFreeSlot;
-      }
+    const uint32_t s = FirstSlot(ptegs_[g], [](const HashedPte& p) { return !p.valid; });
+    ChargeProbe(g, s, charger);
+    if (s < kPtesPerPteg) {
+      ptegs_[g][s] = pte;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return HtabInsertOutcome::kFreeSlot;
     }
   }
 
@@ -82,14 +91,13 @@ HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& orac
 std::optional<HashedPte> HashTable::InvalidatePage(VirtPage vp, MemCharger& charger) {
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (ptegs_[g][s].Matches(vp)) {
-        const HashedPte old = ptegs_[g][s];
-        ptegs_[g][s].valid = false;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return old;
-      }
+    const uint32_t s = FirstSlot(ptegs_[g], [&](const HashedPte& p) { return p.Matches(vp); });
+    ChargeProbe(g, s, charger);
+    if (s < kPtesPerPteg) {
+      const HashedPte old = ptegs_[g][s];
+      ptegs_[g][s].valid = false;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return old;
     }
   }
   return std::nullopt;
@@ -98,16 +106,21 @@ std::optional<HashedPte> HashTable::InvalidatePage(VirtPage vp, MemCharger& char
 bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (ptegs_[g][s].Matches(vp)) {
-        ptegs_[g][s].changed = true;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return true;
-      }
+    const uint32_t s = FirstSlot(ptegs_[g], [&](const HashedPte& p) { return p.Matches(vp); });
+    ChargeProbe(g, s, charger);
+    if (s < kPtesPerPteg) {
+      ptegs_[g][s].changed = true;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return true;
     }
   }
   return false;
+}
+
+uint32_t HashTable::ChargeProbe(uint32_t pteg, uint32_t slot, MemCharger& charger) const {
+  const uint32_t probed = std::min(slot + 1, kPtesPerPteg);
+  charger.ChargeRun(SlotAddr(pteg, 0), kPteBytes, probed, /*is_write=*/false);
+  return probed;
 }
 
 uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
@@ -151,19 +164,36 @@ uint32_t HashTable::ReclaimZombies(uint32_t max_ptegs, const VsidOracle& oracle,
                                    MemCharger& charger) {
   uint32_t reclaimed = 0;
   const uint32_t limit = std::min(max_ptegs, num_ptegs());
+  // Slot reads are charged as runs over consecutive slots. A run is cut at each zombie, so
+  // its invalidating write lands right after its read, and where the cursor wraps, so a
+  // run's addresses only increase. `run_first` is the flat index of the first slot read
+  // but not yet charged.
+  uint32_t run_first = reclaim_cursor_ * kPtesPerPteg;
+  auto charge_reads_before = [&](uint32_t end) {
+    if (end > run_first) {
+      charger.ChargeRun(base_ + run_first * kPteBytes, kPteBytes, end - run_first,
+                        /*is_write=*/false);
+    }
+    run_first = end;
+  };
   for (uint32_t i = 0; i < limit; ++i) {
     const uint32_t g = reclaim_cursor_;
     reclaim_cursor_ = (reclaim_cursor_ + 1) & hash_mask_;
     for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
       HashedPte& pte = ptegs_[g][s];
       if (pte.valid && !oracle.IsLive(pte.vsid)) {
         pte.valid = false;
         ++reclaimed;
+        charge_reads_before(g * kPtesPerPteg + s + 1);
         charger.Charge(SlotAddr(g, s), /*is_write=*/true);
       }
     }
+    if (reclaim_cursor_ == 0) {
+      charge_reads_before(capacity());
+      run_first = 0;
+    }
   }
+  charge_reads_before(reclaim_cursor_ * kPtesPerPteg);
   return reclaimed;
 }
 

@@ -108,6 +108,10 @@ class HashTable {
  private:
   using Pteg = std::array<HashedPte, kPtesPerPteg>;
 
+  // Charges the reads of one PTEG probe as a single run: slots 0..`slot`, or all eight when
+  // `slot` is kPtesPerPteg (no hit). Returns the number of slots charged.
+  uint32_t ChargeProbe(uint32_t pteg, uint32_t slot, MemCharger& charger) const;
+
   std::vector<Pteg> ptegs_;
   PhysAddr base_;
   uint32_t hash_mask_;

@@ -55,8 +55,19 @@ class Cache {
   // this is the hottest function in the whole simulator (every charged memory reference
   // lands here), and the call would otherwise cross a translation-unit boundary.
   CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) {
-    ++stats_.accesses;
-    ++tick_;
+    return AccessLineRun(pa, is_write, 1);
+  }
+
+  // `n` >= 1 accesses to the single line containing `pa`, collapsed: bit-identical to
+  // calling AccessLine `n` times with same-line addresses. Only the first access can miss
+  // (the returned outcome); the remaining n-1 hit the line the first one left resident, so
+  // they reduce to counter adds, and the line's LRU stamp is the tick of the last access.
+  // Callers keep the run contract of Machine::TouchDataRun: strictly increasing addresses,
+  // each line visited in one contiguous group (span replay, HTAB slot scans and page
+  // zeroing rely on it).
+  CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
+    stats_.accesses += n;
+    tick_ += n;
 
     const uint32_t set = SetIndex(pa);
     const uint32_t tag = Tag(pa);
@@ -66,7 +77,7 @@ class Cache {
     for (uint32_t w = 0; w < geometry_.associativity; ++w) {
       Line& line = ways[w];
       if (line.valid && line.tag == tag) {
-        ++stats_.hits;
+        stats_.hits += n;
         line.last_used = tick_;
         line.dirty = line.dirty || is_write;
         return CacheAccessOutcome{.hit = true, .evicted_dirty = false};
@@ -75,6 +86,7 @@ class Cache {
 
     // Miss: pick a victim (prefer an invalid way, else LRU).
     ++stats_.misses;
+    stats_.hits += n - 1;
     Line* victim = &ways[0];
     for (uint32_t w = 0; w < geometry_.associativity; ++w) {
       Line& line = ways[w];
@@ -102,42 +114,16 @@ class Cache {
     return outcome;
   }
 
-  // `n` accesses to the single line containing `pa`, collapsed: bit-identical to calling
-  // AccessLine `n` times with same-line addresses. Only the first access can miss (the
-  // returned outcome); the remaining n-1 are hits on the line the first one left resident,
-  // so they reduce to counter adds and one LRU refresh. Host-fast-path use only
-  // (translation-span replay).
-  CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
-    const CacheAccessOutcome first = AccessLine(pa, is_write);
-    if (n > 1) {
-      const uint64_t extra = n - 1;
-      stats_.accesses += extra;
-      stats_.hits += extra;
-      tick_ += extra;
-      const uint32_t set = SetIndex(pa);
-      const uint32_t tag = Tag(pa);
-      Line* ways = &lines_[static_cast<size_t>(set) * geometry_.associativity];
-      for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-        Line& line = ways[w];
-        if (line.valid && line.tag == tag) {
-          line.last_used = tick_;
-          line.dirty = line.dirty || is_write;
-          break;
-        }
-      }
-    }
-    return first;
-  }
-
   // Performs one cache-inhibited access (the line is neither looked up nor allocated).
-  // Inline: the uncached idle-task configurations issue one of these per zeroed word.
+  // Inline: cache-inhibited page tables and the uncached idle loop issue these on hot paths.
   Cycles AccessUncached(bool /*is_write*/) {
     ++stats_.uncached_accesses;
     return Cycles(timing_.single_beat_cycles);
   }
 
   // `n` cache-inhibited accesses, collapsed: every one costs the same single-beat latency
-  // and touches no line state, so the batch is n counter bumps and one multiply.
+  // and touches no line state, so the batch is n counter bumps and one multiply. The
+  // uncached side of Machine::TouchDataRun, which HTAB slot scans and page zeroing use.
   Cycles AccessUncachedRun(bool /*is_write*/, uint32_t n) {
     stats_.uncached_accesses += n;
     return Cycles(static_cast<uint64_t>(timing_.single_beat_cycles) * n);

@@ -124,34 +124,19 @@ class Machine {
   }
 
   // Charges `count` data references starting at `pa`, each `stride` bytes after the
-  // previous, all within one physical page — bit-identical to `count` TouchData calls.
-  // Within the run addresses are strictly increasing, so each cache line is visited in one
-  // contiguous group: the first access of a group is the only one that can miss, the rest
-  // collapse inside AccessLineRun, and the cycles accumulate into a single AddCycles (the
-  // ledger charges the same total into the same open cell). Host-fast-path use only
-  // (translation-span replay; spans never cross a page).
+  // previous — bit-identical to `count` TouchData calls. The contract: addresses strictly
+  // increase, so each cache line is visited in one contiguous group. The first access of a
+  // group is the only one that can miss, the rest collapse inside AccessLineRun, and the
+  // cycles accumulate into a single AddCycles (the ledger charges the same total into the
+  // same open cell). Translation-span replay, HTAB slot scans (DataMemCharger::ChargeRun)
+  // and page zeroing all rely on it.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
       return;
     }
-    const uint32_t line = config_.dcache.line_bytes;
-    uint64_t cycles = 0;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        reps = std::min(count - i, (line_left - 1) / stride + 1);
-      }
-      const CacheAccessOutcome l1 = dcache_cur_->AccessLineRun(cur, is_write, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
-      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
-      i += reps;
-    }
-    AddCycles(Cycles(cycles));
+    AddCycles(Cycles(CachedRunCycles(*dcache_cur_, pa, stride, count, is_write)));
   }
 
   // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
@@ -160,22 +145,7 @@ class Machine {
       AddCycles(icache_cur_->AccessUncachedRun(false, count));
       return;
     }
-    const uint32_t line = config_.icache.line_bytes;
-    uint64_t cycles = 0;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        reps = std::min(count - i, (line_left - 1) / stride + 1);
-      }
-      const CacheAccessOutcome l1 = icache_cur_->AccessLineRun(cur, false, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, false, l1.evicted_dirty).value;
-      cycles += reps - 1;
-      i += reps;
-    }
-    AddCycles(Cycles(cycles));
+    AddCycles(Cycles(CachedRunCycles(*icache_cur_, pa, stride, count, false)));
   }
 
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
@@ -188,6 +158,29 @@ class Machine {
  private:
   // Charges an L1 miss through the L2 (if present) or memory; returns the cycles.
   Cycles MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
+
+  // The cached body of TouchDataRun / TouchInstructionRun: walks the run one line group at
+  // a time and returns the cycles. A group is the accesses left in the current line, so
+  // only its first access can miss and the rest are 1-cycle hits.
+  uint64_t CachedRunCycles(Cache& cache, PhysAddr pa, uint32_t stride, uint32_t count,
+                           bool is_write) {
+    const uint32_t line = cache.geometry().line_bytes;
+    uint64_t cycles = 0;
+    uint32_t i = 0;
+    while (i < count) {
+      const PhysAddr cur(pa.value + i * stride);
+      uint32_t reps = 1;
+      if (stride < line) {
+        const uint32_t line_left = line - (cur.value & (line - 1));
+        reps = std::min(count - i, (line_left - 1) / stride + 1);
+      }
+      const CacheAccessOutcome l1 = cache.AccessLineRun(cur, is_write, reps);
+      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
+      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
+      i += reps;
+    }
+    return cycles;
+  }
 
   MachineConfig config_;
   PhysicalMemory memory_;

@@ -20,6 +20,17 @@ class MemCharger {
   // Charges one reference to `pa`. Implementations route it through the data cache or around
   // it (cache-inhibited) according to the active policy.
   virtual void Charge(PhysAddr pa, bool is_write) = 0;
+
+  // Charges `count` references starting at `pa`, each `stride` bytes after the previous.
+  // Callers pass strictly increasing addresses, so each cache line is visited in one
+  // contiguous group. Must be indistinguishable from `count` Charge calls in that order;
+  // this default is exactly that loop, so a charger that overrides only Charge still sees
+  // every reference one by one.
+  virtual void ChargeRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) {
+    for (uint32_t i = 0; i < count; ++i) {
+      Charge(pa + i * stride, is_write);
+    }
+  }
 };
 
 // A MemCharger that counts references but charges nothing — used by pure occupancy probes
@@ -27,6 +38,7 @@ class MemCharger {
 class NullMemCharger : public MemCharger {
  public:
   void Charge(PhysAddr, bool) override { ++refs_; }
+  void ChargeRun(PhysAddr, uint32_t, uint32_t count, bool) override { refs_ += count; }
   uint64_t refs() const { return refs_; }
 
  private:
