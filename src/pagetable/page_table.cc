@@ -1,5 +1,7 @@
 #include "src/pagetable/page_table.h"
 
+#include <bit>
+
 #include "src/sim/check.h"
 
 namespace ppcmm {
@@ -8,6 +10,23 @@ namespace {
 
 // PGD entries: PTE-page frame in the high 20 bits, present in bit 0.
 constexpr uint32_t kPgdPresentBit = 1u << 0;
+
+uint64_t Bit(uint32_t index) { return uint64_t{1} << (index % 64); }
+
+template <size_t N>
+bool TestBit(const std::array<uint64_t, N>& words, uint32_t index) {
+  return (words[index / 64] & Bit(index)) != 0;
+}
+
+// Calls `fn(index)` for every set bit of `words`, in ascending order.
+template <size_t N, typename Fn>
+void ForEachSetBit(const std::array<uint64_t, N>& words, Fn&& fn) {
+  for (uint32_t w = 0; w < N; ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      fn(w * 64 + static_cast<uint32_t>(std::countr_zero(bits)));
+    }
+  }
+}
 
 }  // namespace
 
@@ -22,12 +41,7 @@ PageTable::PageTable(PageAllocator& allocator, PhysicalMemory& memory)
 }
 
 PageTable::~PageTable() {
-  for (uint32_t i = 0; i < kPgdEntries; ++i) {
-    const std::optional<uint32_t> pte_frame = PtePageFrame(i);
-    if (pte_frame.has_value()) {
-      allocator_.DecRef(*pte_frame);
-    }
-  }
+  ForEachSetBit(populated_, [&](uint32_t g) { allocator_.DecRef(*PtePageFrame(g)); });
   allocator_.DecRef(pgd_frame_);
 }
 
@@ -57,23 +71,28 @@ std::optional<LinuxPte> PageTable::LookupQuiet(EffAddr ea) const {
 
 void PageTable::Map(EffAddr ea, const LinuxPte& pte, MemCharger* charger) {
   PPCMM_CHECK_MSG(pte.present, "Map requires a present PTE; use Unmap to clear");
-  std::optional<uint32_t> pte_frame = PtePageFrame(PgdIndex(ea));
+  const uint32_t g = PgdIndex(ea);
+  std::optional<uint32_t> pte_frame = PtePageFrame(g);
   if (!pte_frame.has_value()) {
     const std::optional<uint32_t> fresh = allocator_.Alloc();
     if (!fresh.has_value()) {
       throw OutOfMemoryError("out of memory allocating a PTE page");
     }
     memory_.ZeroFrame(*fresh);
-    memory_.Write32(PgdEntryAddr(PgdIndex(ea)), (*fresh << 12) | kPgdPresentBit);
+    memory_.Write32(PgdEntryAddr(g), (*fresh << 12) | kPgdPresentBit);
     if (charger != nullptr) {
-      charger->Charge(PgdEntryAddr(PgdIndex(ea)), /*is_write=*/true);
+      charger->Charge(PgdEntryAddr(g), /*is_write=*/true);
     }
     pte_frame = fresh;
+    // A PTE page is never released before the table, so its slot in the index is final.
+    present_bits_.emplace_back();
+    bits_slot_[g] = static_cast<uint16_t>(present_bits_.size());
+    populated_[g / 64] |= Bit(g);
   }
   const PhysAddr slot = PteEntryAddr(*pte_frame, PteIndex(ea));
   const LinuxPte old = LinuxPte::Decode(memory_.Read32(slot));
   if (!old.present) {
-    ++present_count_;
+    PresentBits(g)[PteIndex(ea) / 64] |= Bit(PteIndex(ea));
   }
   memory_.Write32(slot, pte.Encode());
   if (charger != nullptr) {
@@ -95,7 +114,7 @@ std::optional<LinuxPte> PageTable::Unmap(EffAddr ea, MemCharger* charger) {
   if (charger != nullptr) {
     charger->Charge(slot, /*is_write=*/true);
   }
-  --present_count_;
+  PresentBits(PgdIndex(ea))[PteIndex(ea) / 64] &= ~Bit(PteIndex(ea));
   return old;
 }
 
@@ -115,20 +134,46 @@ void PageTable::Update(EffAddr ea, const std::function<void(LinuxPte&)>& update,
 }
 
 void PageTable::ForEachPresent(const std::function<void(EffAddr, const LinuxPte&)>& fn) const {
+  ForEachSetBit(populated_, [&](uint32_t g) {
+    const uint32_t pte_frame = *PtePageFrame(g);
+    ForEachSetBit(PresentBits(g), [&](uint32_t i) {
+      const EffAddr ea((g << kPgdShift) | (i << kPageShift));
+      const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(pte_frame, i)));
+      PPCMM_CHECK_MSG(pte.present, "index lists a non-present PTE at 0x" << std::hex << ea.value);
+      fn(ea, pte);
+    });
+  });
+}
+
+uint32_t PageTable::PresentCount() const {
+  uint32_t count = 0;
+  for (const EntryBits& bits : present_bits_) {
+    for (const uint64_t word : bits) {
+      count += static_cast<uint32_t>(std::popcount(word));
+    }
+  }
+  return count;
+}
+
+std::optional<PageTable::IndexMismatch> PageTable::CheckPresentIndex() const {
   for (uint32_t g = 0; g < kPgdEntries; ++g) {
     const std::optional<uint32_t> pte_frame = PtePageFrame(g);
+    const bool populated = TestBit(populated_, g);
+    if (pte_frame.has_value() != populated) {
+      return IndexMismatch{EffAddr(g << kPgdShift), pte_frame.has_value(), populated};
+    }
     if (!pte_frame.has_value()) {
       continue;
     }
     for (uint32_t i = 0; i < kPteEntriesPerPage; ++i) {
-      const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(*pte_frame, i)));
-      if (pte.present) {
-        fn(EffAddr((g << kPgdShift) | (i << kPageShift)), pte);
+      const bool present = LinuxPte::Decode(memory_.Read32(PteEntryAddr(*pte_frame, i))).present;
+      const bool indexed = TestBit(PresentBits(g), i);
+      if (present != indexed) {
+        return IndexMismatch{EffAddr((g << kPgdShift) | (i << kPageShift)), present, indexed};
       }
     }
   }
+  return std::nullopt;
 }
-
-uint32_t PageTable::PresentCount() const { return present_count_; }
 
 }  // namespace ppcmm

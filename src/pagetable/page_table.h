@@ -5,13 +5,22 @@
 // at most two loads here plus one load of the PGD pointer in the task structure — the
 // "three loads in the worst case" of §6.1. Directory frames live in simulated physical
 // memory, so walks hit the data cache exactly like the real handler's loads did.
+//
+// A host-side present-entry index (one bit per populated PGD slot, one bit per present
+// entry of each PTE page) lets ForEachPresent and the destructor visit only what is mapped
+// instead of scanning the 4 GB tree. It is never charged and holds no PTE contents: only
+// Map (a fresh entry) and Unmap flip presence, and every visit decodes the entry from
+// simulated memory. CheckPresentIndex is the full-tree scan it replaces, kept as the
+// reference the coherence auditor holds the index to.
 
 #ifndef PPCMM_SRC_PAGETABLE_PAGE_TABLE_H_
 #define PPCMM_SRC_PAGETABLE_PAGE_TABLE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "src/sim/addr.h"
 #include "src/sim/mem_charge.h"
@@ -54,11 +63,21 @@ class PageTable {
   void Update(EffAddr ea, const std::function<void(LinuxPte&)>& update,
               MemCharger* charger = nullptr);
 
-  // Invokes `fn` for every present leaf entry (functional iteration; nothing is charged).
+  // Invokes `fn` for every present leaf entry in ascending EA order (functional iteration;
+  // nothing is charged).
   void ForEachPresent(const std::function<void(EffAddr, const LinuxPte&)>& fn) const;
 
   // Number of present leaf entries.
   uint32_t PresentCount() const;
+
+  // The first place where the present-entry index and the tree in simulated memory
+  // disagree, found by scanning every PGD word and every word of each PTE page.
+  struct IndexMismatch {
+    EffAddr ea;     // the entry; for a PGD slot, the first address of its 4 MB region
+    bool in_tree;   // present (a populated PGD slot) in simulated memory
+    bool in_index;  // present (a populated PGD slot) in the index
+  };
+  std::optional<IndexMismatch> CheckPresentIndex() const;
 
   uint32_t pgd_frame() const { return pgd_frame_; }
 
@@ -74,10 +93,21 @@ class PageTable {
   // Reads the PGD entry; returns the PTE-page frame or nullopt if absent.
   std::optional<uint32_t> PtePageFrame(uint32_t pgd_index) const;
 
+  // One bit per entry of a PTE page, set while the entry is present.
+  using EntryBits = std::array<uint64_t, kPteEntriesPerPage / 64>;
+  EntryBits& PresentBits(uint32_t pgd_index) { return present_bits_[bits_slot_[pgd_index] - 1]; }
+  const EntryBits& PresentBits(uint32_t pgd_index) const {
+    return present_bits_[bits_slot_[pgd_index] - 1];
+  }
+
   PageAllocator& allocator_;
   PhysicalMemory& memory_;
   uint32_t pgd_frame_ = 0;
-  uint32_t present_count_ = 0;
+  // The present-entry index. `populated_` has a bit per PGD slot that has a PTE page;
+  // `bits_slot_[g]` is 1 + the position of slot g's bits in `present_bits_` (0: none).
+  std::array<uint64_t, kPgdEntries / 64> populated_{};
+  std::array<uint16_t, kPgdEntries> bits_slot_{};
+  std::vector<EntryBits> present_bits_;
 };
 
 }  // namespace ppcmm

@@ -208,6 +208,25 @@ void CoherenceAuditor::Audit() {
     }
   }
 
+  // ---- present-entry indexes: each tree's index against a full scan of the tree ----
+  // The frame check below walks the trees through their indexes, so the indexes are held
+  // to the tree in simulated memory first.
+  const auto check_index = [&](const PageTable& table, const std::string& owner) {
+    const std::optional<PageTable::IndexMismatch> mismatch = table.CheckPresentIndex();
+    if (mismatch.has_value()) {
+      Violation("INDEX", Vsid(0), mismatch->ea.EffPageNumber(),
+                std::string("present-entry index to match the PTE tree (tree present=") +
+                    (mismatch->in_tree ? "1" : "0") + ")",
+                std::string("index present=") + (mismatch->in_index ? "1" : "0"), owner);
+    }
+  };
+  check_index(kernel_.kernel_page_table(), "kernel");
+  kernel_.ForEachTask([&](Task& task) {
+    if (task.mm != nullptr) {
+      check_index(*task.mm->page_table, "task " + std::to_string(task.id.value));
+    }
+  });
+
   // ---- frames: every user mapping sits on an allocated frame with enough references ----
   PageAllocator& allocator = kernel_.allocator();
   const uint32_t arena_begin = allocator.first_frame();

@@ -20,6 +20,8 @@
 //   6. Every task's context is live, and no two live contexts share a VSID.
 //   7. Every frame mapped by a user PTE is allocator-owned with refcount >= the number of
 //      user mappings observed (I/O aperture frames excepted).
+//   8. Every PTE tree's present-entry index (kernel and tasks) lists exactly the entries a
+//      full scan of the tree in simulated memory finds present (PageTable::CheckPresentIndex).
 //
 // SMP: invariants 1-3 run against every CPU's I/D TLBs. The cross-CPU staleness rule is
 // that no CPU may hold a translation invalidated by a COMPLETED shootdown; a CPU still

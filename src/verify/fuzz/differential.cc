@@ -232,6 +232,16 @@ void FullCrossCheck(System& sys, const ReferenceMmu& ref, CoherenceAuditor& audi
                     "task " << id << " present-page count diverged: PTE tree has "
                             << t.mm->page_table->PresentCount() << ", oracle has "
                             << rt.pages.size());
+    // The walk fork, exec and exit use must visit exactly the oracle's pages, ascending.
+    auto expected_page = rt.pages.begin();
+    t.mm->page_table->ForEachPresent([&](EffAddr ea, const LinuxPte&) {
+      const uint32_t want = expected_page == rt.pages.end() ? ~0u : expected_page->first;
+      PPCMM_CHECK_MSG(ea.EffPageNumber() == want,
+                      "task " << id << " present-page walk diverged: visited page 0x"
+                              << std::hex << ea.EffPageNumber() << ", oracle expects 0x"
+                              << want);
+      ++expected_page;
+    });
     PPCMM_CHECK_MSG(t.mm->vmas.TotalPages() == rt.vmas.TotalPages(),
                     "task " << id << " VMA page total diverged: kernel "
                             << t.mm->vmas.TotalPages() << ", oracle " << rt.vmas.TotalPages());

@@ -194,5 +194,69 @@ TEST(CoherenceAuditorTest, CatchesStaleWritableAfterSabotagedCow) {
   EXPECT_THROW(auditor.Audit(), CheckFailure);
 }
 
+// Where the leaf entry for `ea` lives in simulated memory, found through the PGD word.
+PhysAddr PteSlotOf(const PhysicalMemory& memory, const PageTable& table, EffAddr ea) {
+  const PhysAddr pgd_entry = PhysAddr::FromFrame(table.pgd_frame(), (ea.value >> kPgdShift) * 4);
+  const uint32_t pte_frame = memory.Read32(pgd_entry) >> 12;
+  return PhysAddr::FromFrame(pte_frame, ea.EffPageNumber() % kPteEntriesPerPage * 4);
+}
+
+TEST(CoherenceAuditorTest, CatchesPresentPteMissingFromTheIndex) {
+  System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
+  Kernel& kernel = sys.kernel();
+  const TaskId a = kernel.CreateTask("a");
+  kernel.Exec(a, ExecImage{});
+  kernel.SwitchTo(a);
+  kernel.UserTouch(EffAddr(kUserDataBase), AccessKind::kStore);
+  CoherenceAuditor auditor(kernel);
+  auditor.Audit();
+
+  // Sabotage: a present PTE written into the PTE page behind the page table's back, on a
+  // frame the task legitimately owns, so only the index disagrees with the tree.
+  PhysicalMemory& memory = sys.machine().memory();
+  const PageTable& table = *kernel.task(a).mm->page_table;
+  const EffAddr hidden(kUserDataBase + 7 * kPageSize);
+  ASSERT_FALSE(table.LookupQuiet(hidden)->present);
+  const LinuxPte owned = *table.LookupQuiet(EffAddr(kUserDataBase));
+  memory.Write32(PteSlotOf(memory, table, hidden), owned.Encode());
+  try {
+    auditor.Audit();
+    FAIL() << "expected an INDEX violation";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tier=INDEX"), std::string::npos) << what;
+    EXPECT_NE(what.find("page_index=0x10007"), std::string::npos) << what;
+    EXPECT_NE(what.find("tree present=1"), std::string::npos) << what;
+    EXPECT_NE(what.find("index present=0"), std::string::npos) << what;
+  }
+}
+
+TEST(CoherenceAuditorTest, CatchesIndexedPteClearedFromTheTree) {
+  System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
+  Kernel& kernel = sys.kernel();
+  const TaskId a = kernel.CreateTask("a");
+  kernel.Exec(a, ExecImage{});
+  kernel.SwitchTo(a);
+  kernel.UserTouch(EffAddr(kUserDataBase), AccessKind::kStore);
+  // The child inherits the PTE but has never run, so no TLB or HTAB entry caches it.
+  const TaskId b = kernel.Fork(a);
+  CoherenceAuditor auditor(kernel);
+  auditor.Audit();
+
+  // Sabotage: the child's PTE cleared behind the page table's back.
+  PhysicalMemory& memory = sys.machine().memory();
+  memory.Write32(PteSlotOf(memory, *kernel.task(b).mm->page_table, EffAddr(kUserDataBase)), 0);
+  try {
+    auditor.Audit();
+    FAIL() << "expected an INDEX violation";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tier=INDEX"), std::string::npos) << what;
+    EXPECT_NE(what.find("tree present=0"), std::string::npos) << what;
+    EXPECT_NE(what.find("index present=1"), std::string::npos) << what;
+    EXPECT_NE(what.find("task " + std::to_string(b.value)), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace ppcmm

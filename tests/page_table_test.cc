@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/pagetable/page_table.h"
 #include "src/sim/check.h"
@@ -149,6 +152,93 @@ TEST(PageTableTest, ForEachPresentVisitsExactlyTheMappedPages) {
   });
   EXPECT_EQ(seen, expected);
   EXPECT_EQ(pt.PresentCount(), expected.size());
+}
+
+// Holds the table to a brute-force reference: ForEachPresent must visit exactly the
+// reference's entries in ascending EA order, and the present-entry index must agree with a
+// full scan of the tree.
+void ExpectMatchesReference(const PageTable& pt, const std::map<uint32_t, LinuxPte>& ref) {
+  std::vector<std::pair<uint32_t, LinuxPte>> seen;
+  pt.ForEachPresent([&](EffAddr ea, const LinuxPte& pte) {
+    seen.emplace_back(ea.EffPageNumber(), pte);
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<uint32_t, LinuxPte>>(ref.begin(), ref.end())));
+  EXPECT_EQ(pt.PresentCount(), ref.size());
+  EXPECT_FALSE(pt.CheckPresentIndex().has_value());
+}
+
+TEST(PageTableTest, IndexTracksRandomMapUnmapRemapUpdateStream) {
+  Fixture f;
+  const uint32_t free_before = f.alloc.FreeCount();
+  {
+    PageTable pt(f.alloc, f.memory);
+    // The index's edges: the first and last PGD slot, and entries at both ends of a PTE
+    // page and on each side of a 64-bit word boundary.
+    std::vector<uint32_t> pages;
+    for (const uint32_t g : {0u, 1u, 1023u}) {
+      for (const uint32_t i : {0u, 1u, 63u, 64u, 65u, 1023u}) {
+        pages.push_back(g << 10 | i);
+      }
+    }
+    std::map<uint32_t, LinuxPte> ref;
+    Rng rng(13);
+    for (int op = 0; op < 3000 && !HasFailure(); ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const uint32_t page = pages[rng.NextBelow(pages.size())];
+      switch (rng.NextBelow(4)) {
+        case 0:
+        case 1: {  // map, or remap a present page to a new frame
+          const LinuxPte pte = MakePte(static_cast<uint32_t>(rng.NextBelow(1 << 20)),
+                                       rng.Chance(1, 2));
+          pt.Map(EffAddr::FromPage(page), pte);
+          ref[page] = pte;
+          break;
+        }
+        case 2: {
+          const std::optional<LinuxPte> old = pt.Unmap(EffAddr::FromPage(page));
+          const auto it = ref.find(page);
+          EXPECT_EQ(old.has_value(), it != ref.end());
+          if (it != ref.end()) {
+            EXPECT_EQ(*old, it->second);
+            ref.erase(it);
+          }
+          break;
+        }
+        default: {
+          if (ref.empty()) {
+            break;
+          }
+          auto it = std::next(ref.begin(), static_cast<long>(rng.NextBelow(ref.size())));
+          const auto flip = [](LinuxPte& pte) {
+            pte.dirty = !pte.dirty;
+            pte.accessed = true;
+          };
+          pt.Update(EffAddr::FromPage(it->first), flip);
+          flip(it->second);
+          break;
+        }
+      }
+      ExpectMatchesReference(pt, ref);
+    }
+
+    // Empty PGD slot 0's PTE page entry by entry, then refill it: the page stays allocated
+    // and the index follows it down to nothing and back.
+    const uint32_t free_with_tables = f.alloc.FreeCount();
+    for (uint32_t i = 0; i < kPteEntriesPerPage; ++i) {
+      if (pt.Unmap(EffAddr::FromPage(i)).has_value()) {
+        ref.erase(i);
+        ExpectMatchesReference(pt, ref);
+      }
+    }
+    for (const uint32_t i : {1023u, 64u, 0u, 63u}) {
+      pt.Map(EffAddr::FromPage(i), MakePte(i));
+      ref[i] = MakePte(i);
+      ExpectMatchesReference(pt, ref);
+    }
+    EXPECT_EQ(f.alloc.FreeCount(), free_with_tables);
+    EXPECT_EQ(f.alloc.FreeCount(), free_before - 4);  // the PGD and three PTE pages
+  }
+  EXPECT_EQ(f.alloc.FreeCount(), free_before);
 }
 
 TEST(PageTableTest, RemapReplacesWithoutLeakingPresentCount) {
