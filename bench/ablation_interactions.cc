@@ -26,16 +26,10 @@ double CompileSeconds(const OptimizationConfig& config) {
 }
 
 // Every configuration the bench measures is known up front, so build the whole lattice
-// first and sweep it across host threads — or across forked shard processes when
-// PPCMM_SWEEP_SHARDS asks for it; each CompileSeconds call owns its System either way.
+// first and sweep it across host threads; each CompileSeconds call owns its System.
 std::vector<double> CompileAll(const std::vector<OptimizationConfig>& configs) {
   SweepRunner runner;
-  const auto run = [&](size_t i) { return CompileSeconds(configs[i]); };
-  const unsigned shards = SweepRunner::DefaultShards();
-  if (shards > 1) {
-    return runner.MapSharded(configs.size(), shards, run);
-  }
-  return runner.Map(configs.size(), run);
+  return runner.Map(configs.size(), [&](size_t i) { return CompileSeconds(configs[i]); });
 }
 
 int Main() {

@@ -1,16 +1,15 @@
 // Host throughput — how fast the simulator itself runs.
 //
 // Unlike every other bench, the numbers here are about the *host*: simulated accesses and
-// simulated cycles retired per host second, for each reload strategy, with the MMU's host
-// fast path off and on, and with the configuration sweep run serially versus on the
-// SweepRunner thread pool. The fast path must be simulation-invisible, so each off/on pair
-// also cross-checks that total simulated cycles are bit-identical (fast_path_test proves
-// the full counter set; this is the cheap always-on guard).
+// simulated cycles retired per host second, for each reload strategy; batched translation
+// spans against per-access touches; and the configuration sweep run serially versus on the
+// SweepRunner thread pool. Spans must be simulation-invisible, so the span pairs also
+// cross-check that simulated accesses and cycles are bit-identical (batched_run_test
+// proves the full counter set; this is the cheap always-on guard).
 //
 // PPCMM_QUICK=1 shrinks the workload for smoke runs (bench/run_all.sh --quick and the
 // ctest-registered host_throughput_test).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +19,6 @@
 #include "bench/bench_util.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/layout.h"
-#include "src/mmu/mmu.h"
 #include "src/sim/sweep_runner.h"
 #include "src/workloads/kernel_compile.h"
 #include "src/workloads/report.h"
@@ -38,7 +36,6 @@ struct RunStats {
   double host_seconds = 0;
   uint64_t sim_accesses = 0;
   uint64_t sim_cycles = 0;
-  double fast_hit_rate = 0;
 };
 
 bool QuickMode() {
@@ -62,39 +59,7 @@ RunStats RunOnce(const Strategy& strategy, uint32_t units) {
   const HwCounters& c = system.counters();
   stats.sim_accesses = c.itlb_accesses + c.dtlb_accesses + c.bat_translations;
   stats.sim_cycles = c.cycles;
-  const uint64_t probes = system.mmu().fast_path_hits() + system.mmu().fast_path_misses();
-  stats.fast_hit_rate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(system.mmu().fast_path_hits()) /
-                        static_cast<double>(probes);
   return stats;
-}
-
-// Best host times for one strategy with the fast path off and on. The off/on runs are
-// interleaved round by round (off, on, off, on, ...): on a shared host, machine-speed
-// drift then lands on both sides of the ratio instead of biasing whichever phase happened
-// to run later. The simulation itself is deterministic; only host noise varies.
-struct OffOnStats {
-  RunStats off;
-  RunStats on;
-};
-
-OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps) {
-  OffOnStats best;
-  for (int r = 0; r < reps; ++r) {
-    Mmu::SetFastPathDefault(false);
-    const RunStats off = RunOnce(strategy, units);
-    Mmu::SetFastPathDefault(true);
-    const RunStats on = RunOnce(strategy, units);
-    if (r == 0 || off.host_seconds < best.off.host_seconds) {
-      best.off = off;
-    }
-    if (r == 0 || on.host_seconds < best.on.host_seconds) {
-      best.on = on;
-    }
-  }
-  Mmu::SetFastPathDefault(std::nullopt);
-  return best;
 }
 
 // ---- batched translation spans ----
@@ -102,7 +67,7 @@ OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps
 // Streams page-grained runs through a resident working set — the workload shape the
 // UserTouchRun/Mmu::AccessRun batching API exists for. `batched` off replays the exact
 // same access stream one UserTouch at a time, so the off/on pair both times the span
-// replay against the per-access fast path and cross-checks that the batching is
+// replay against the per-access path and cross-checks that the batching is
 // simulation-invisible (identical simulated accesses and cycles).
 struct StreamStats {
   double host_seconds = 0;
@@ -156,8 +121,7 @@ int Main() {
   BenchReport::Global().SetMeta("strategies", "604 hw-walk, 603 sw-htab, 603 direct");
 
   Headline("Host throughput: simulator speed per reload strategy (kernel compile)");
-  std::printf("workload: kernel compile, %u units, best of %d host-timed runs%s\n\n", units,
-              reps, quick ? " (quick mode)" : "");
+  std::printf("workload: kernel compile, %u units%s\n\n", units, quick ? " (quick mode)" : "");
 
   const std::vector<Strategy> strategies = {
       {"604 hw-walk baseline", MachineConfig::Ppc604(133), OptimizationConfig::Baseline()},
@@ -167,42 +131,52 @@ int Main() {
       {"603 direct reload", MachineConfig::Ppc603(133), OptimizationConfig::OnlyDirectReload()},
   };
 
-  TextTable table({"strategy", "Maccess/s off", "Maccess/s on", "Mcycles/s on", "fast speedup",
-                   "hit rate"});
-  double fast_speedup_sum = 0;
-  bool cycles_identical = true;
   // One untimed warmup so first-run costs (allocator growth, cold host caches) are not
   // charged to the first timed configuration.
   RunOnce(strategies.front(), quick ? 1 : 2);
+
+  // The serial pass doubles as the per-strategy speed table; the SweepRunner pass runs the
+  // identical deterministic simulations on the thread pool, so its results must match.
+  std::vector<RunStats> serial;
+  serial.reserve(strategies.size());
+  const auto serial_start = std::chrono::steady_clock::now();
   for (const Strategy& strategy : strategies) {
-    const auto [off, on] = RunInterleavedBest(strategy, units, reps);
-    cycles_identical = cycles_identical && off.sim_cycles == on.sim_cycles &&
-                       off.sim_accesses == on.sim_accesses;
-    const double speedup = off.host_seconds / on.host_seconds;
-    fast_speedup_sum += speedup;
-    const double maccess_off =
-        static_cast<double>(off.sim_accesses) / off.host_seconds / 1e6;
-    const double maccess_on = static_cast<double>(on.sim_accesses) / on.host_seconds / 1e6;
-    const double mcycles_on = static_cast<double>(on.sim_cycles) / on.host_seconds / 1e6;
-    table.AddRow({strategy.name, TextTable::Num(maccess_off, 2), TextTable::Num(maccess_on, 2),
-                  TextTable::Num(mcycles_on, 1), TextTable::Num(speedup, 2) + "x",
-                  TextTable::Num(on.fast_hit_rate * 100.0, 1) + "%"});
-    BenchReport::Global().Add(std::string(strategy.name) + ".sim_accesses_per_sec_fast_on",
-                              maccess_on * 1e6, "1/s");
-    BenchReport::Global().Add(std::string(strategy.name) + ".sim_cycles_per_sec_fast_on",
-                              mcycles_on * 1e6, "1/s");
-    BenchReport::Global().Add(std::string(strategy.name) + ".fast_path_speedup", speedup, "x");
-    BenchReport::Global().Add(std::string(strategy.name) + ".fast_path_hit_rate",
-                              on.fast_hit_rate, "");
+    serial.push_back(RunOnce(strategy, units));
+  }
+  const double serial_s = Seconds(std::chrono::steady_clock::now() - serial_start);
+
+  SweepRunner runner;
+  const auto par_start = std::chrono::steady_clock::now();
+  const std::vector<RunStats> pooled =
+      runner.Map(strategies.size(), [&](size_t i) { return RunOnce(strategies[i], units); });
+  const double parallel_s = Seconds(std::chrono::steady_clock::now() - par_start);
+
+  TextTable table({"strategy", "Maccess/s", "Mcycles/s"});
+  bool pooled_identical = true;
+  for (size_t i = 0; i < strategies.size(); ++i) {
+    const RunStats& run = serial[i];
+    pooled_identical = pooled_identical && pooled[i].sim_accesses == run.sim_accesses &&
+                       pooled[i].sim_cycles == run.sim_cycles;
+    const double maccess = static_cast<double>(run.sim_accesses) / run.host_seconds / 1e6;
+    const double mcycles = static_cast<double>(run.sim_cycles) / run.host_seconds / 1e6;
+    table.AddRow({strategies[i].name, TextTable::Num(maccess, 2), TextTable::Num(mcycles, 1)});
+    const std::string name(strategies[i].name);
+    BenchReport::Global().Add(name + ".sim_accesses_per_sec", maccess * 1e6, "1/s");
+    BenchReport::Global().Add(name + ".sim_cycles_per_sec", mcycles * 1e6, "1/s");
   }
   std::printf("%s\n", table.ToString().c_str());
-  const double fast_speedup = fast_speedup_sum / static_cast<double>(strategies.size());
-  std::printf("fast path simulation-invisible (cycles+accesses identical off/on): %s\n",
-              cycles_identical ? "HOLDS" : "FAILS");
-  std::printf("mean fast-path speedup: %.2fx\n", fast_speedup);
+  const double parallel_speedup = serial_s / parallel_s;
+  std::printf("parallel sweep: %u threads (host cores: %u)\n", runner.threads(),
+              std::thread::hardware_concurrency());
+  std::printf("  serial %.2fs, parallel %.2fs -> %.2fx\n", serial_s, parallel_s,
+              parallel_speedup);
+  std::printf("pooled sweep simulation-invisible (cycles+accesses identical to serial): %s\n",
+              pooled_identical ? "HOLDS" : "FAILS");
+  BenchReport::Global().Add("sweep_threads", runner.threads(), "");
+  BenchReport::Global().Add("parallel_speedup", parallel_speedup, "x");
 
   Headline("Batched translation spans: page-grained runs vs per-access touches");
-  Mmu::SetFastPathDefault(true);
+  std::printf("best of %d host-timed runs per side\n\n", reps);
   const uint32_t ws_pages = quick ? 256 : 1024;  // 1 MB / 4 MB resident working set
   TextTable span_table(
       {"strategy", "stride", "Maccess/s per-access", "Maccess/s batched", "span speedup",
@@ -213,7 +187,6 @@ int Main() {
        {strategies[1] /* 604 optimized */, strategies[3] /* 603 direct */}) {
     for (const uint32_t stride : {4u, 32u}) {
       // Size passes so the batched side runs a few hundred host ms in full mode.
-      const uint32_t per_pass = ws_pages * kPageSize / stride;
       const int passes = quick ? 2 : static_cast<int>(stride == 4 ? 24 : 96);
       StreamStats single;
       StreamStats span;
@@ -241,10 +214,8 @@ int Main() {
           std::string(strategy.name) + ".stride" + std::to_string(stride);
       BenchReport::Global().Add(key + ".batched_accesses_per_sec", m_span * 1e6, "1/s");
       BenchReport::Global().Add(key + ".span_speedup", m_span / m_single, "x");
-      (void)per_pass;
     }
   }
-  Mmu::SetFastPathDefault(std::nullopt);
   std::printf("%s\n", span_table.ToString().c_str());
   std::printf("batched runs simulation-invisible (cycles+accesses identical): %s\n",
               spans_identical ? "HOLDS" : "FAILS");
@@ -252,80 +223,7 @@ int Main() {
   BenchReport::Global().Add("batched_best_accesses_per_sec", best_batched_maccess * 1e6,
                             "1/s");
 
-  Headline("Parallel sweep: all strategies, serial vs SweepRunner");
-  Mmu::SetFastPathDefault(true);
-  const auto serial_start = std::chrono::steady_clock::now();
-  for (const Strategy& strategy : strategies) {
-    RunOnce(strategy, units);
-  }
-  const double serial_s = Seconds(std::chrono::steady_clock::now() - serial_start);
-
-  SweepRunner runner;
-  const auto par_start = std::chrono::steady_clock::now();
-  runner.Map(strategies.size(), [&](size_t i) { return RunOnce(strategies[i], units); });
-  const double parallel_s = Seconds(std::chrono::steady_clock::now() - par_start);
-
-  // Combined: the shipped configuration (fast path on, parallel sweep) against the
-  // all-slow baseline (fast path off, serial sweep).
-  Mmu::SetFastPathDefault(false);
-  const auto base_start = std::chrono::steady_clock::now();
-  for (const Strategy& strategy : strategies) {
-    RunOnce(strategy, units);
-  }
-  const double baseline_s = Seconds(std::chrono::steady_clock::now() - base_start);
-  Mmu::SetFastPathDefault(std::nullopt);
-
-  const double parallel_speedup = serial_s / parallel_s;
-  const double combined_speedup = baseline_s / parallel_s;
-  std::printf("  sweep threads: %u (host cores: %u)\n", runner.threads(),
-              std::thread::hardware_concurrency());
-  std::printf("  serial %.2fs, parallel %.2fs -> %.2fx; combined vs fast-off serial %.2fx\n",
-              serial_s, parallel_s, parallel_speedup, combined_speedup);
-  BenchReport::Global().Add("sweep_threads", runner.threads(), "");
-  BenchReport::Global().Add("parallel_speedup", parallel_speedup, "x");
-  BenchReport::Global().Add("fast_path_mean_speedup", fast_speedup, "x");
-  BenchReport::Global().Add("combined_speedup_vs_serial_fast_off", combined_speedup, "x");
-
-  Headline("Sharded sweep: fork-per-shard processes vs serial");
-  // PPCMM_SWEEP_SHARDS (bench/run_all.sh --shards) picks the shard count; without it the
-  // bench still exercises the forked path on a couple of shards. All SweepRunner threads
-  // above are joined by now, so the process is single-threaded and safe to fork.
-  const unsigned env_shards = SweepRunner::DefaultShards();
-  const unsigned hw_cores = std::thread::hardware_concurrency();
-  const unsigned shards =
-      env_shards > 1 ? env_shards : std::min(2u, hw_cores != 0 ? hw_cores : 1u);
-  Mmu::SetFastPathDefault(true);
-  const auto shard_serial_start = std::chrono::steady_clock::now();
-  std::vector<RunStats> shard_serial;
-  shard_serial.reserve(strategies.size());
-  for (const Strategy& strategy : strategies) {
-    shard_serial.push_back(RunOnce(strategy, units));
-  }
-  const double shard_serial_s = Seconds(std::chrono::steady_clock::now() - shard_serial_start);
-
-  const auto shard_start = std::chrono::steady_clock::now();
-  const std::vector<RunStats> sharded = runner.MapSharded(
-      strategies.size(), shards, [&](size_t i) { return RunOnce(strategies[i], units); });
-  const double sharded_s = Seconds(std::chrono::steady_clock::now() - shard_start);
-  Mmu::SetFastPathDefault(std::nullopt);
-
-  // The shards run the identical deterministic simulations, so the merged results must be
-  // bit-identical to the serial pass — this is the same contract the CI sharded-smoke job
-  // checks at the BENCH-json level.
-  bool sharded_identical = sharded.size() == shard_serial.size();
-  for (size_t i = 0; sharded_identical && i < sharded.size(); ++i) {
-    sharded_identical = sharded[i].sim_accesses == shard_serial[i].sim_accesses &&
-                        sharded[i].sim_cycles == shard_serial[i].sim_cycles;
-  }
-  const double sharded_speedup = shard_serial_s / sharded_s;
-  std::printf("  shards: %u (host cores: %u)\n", shards, hw_cores);
-  std::printf("  serial %.2fs, sharded %.2fs -> %.2fx; results bit-identical: %s\n",
-              shard_serial_s, sharded_s, sharded_speedup,
-              sharded_identical ? "HOLDS" : "FAILS");
-  BenchReport::Global().Add("sweep_shards", shards, "");
-  BenchReport::Global().Add("sharded_speedup", sharded_speedup, "x");
-
-  return cycles_identical && spans_identical && sharded_identical ? 0 : 1;
+  return spans_identical && pooled_identical ? 0 : 1;
 }
 
 }  // namespace

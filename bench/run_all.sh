@@ -2,19 +2,12 @@
 # Runs every reproduction bench and collects machine-readable BENCH_<name>.json reports
 # into bench-out/ (gitignored). Human-readable tables still go to stdout.
 #
-#   bench/run_all.sh [--quick] [--lint] [--shards N] [build-dir]     default build dir: build
+#   bench/run_all.sh [--quick] [--lint] [build-dir]     default build dir: build
 #
 # --quick: smoke mode — shrunken workloads (PPCMM_QUICK=1), only the benches that finish in
 # seconds, plus a ThreadSanitizer pass over the sweep-runner tests when build-tsan exists
 # and a 30-second seeded differential-fuzz pass under ASan when build-fuzz (or build-asan)
 # exists. A fuzz divergence fails loudly and leaves the minimized repro in bench-out/.
-# Quick mode always runs the sweeps sharded (2 shards unless --shards says otherwise) so
-# the fork/merge path is exercised by every smoke run.
-#
-# --shards N: run parameter sweeps across N forked shards (exports PPCMM_SWEEP_SHARDS).
-# N may be `auto` to use the machine's core count. Results are bit-identical to a serial
-# run — shards only change wall-clock time and the sweep_shards metric, which
-# tools/bench-trend treats as an environment fact.
 #
 # --lint: before any benches, run mmu-lint over the tree (using the build dir's binary)
 # and the format check. Bad numbers from a tree that violates its own architectural
@@ -25,33 +18,15 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
 quick=0
 lint=0
-shards=""
 while :; do
   case "${1:-}" in
     --quick) quick=1; shift ;;
     --lint) lint=1; shift ;;
-    --shards) shards=${2:?--shards needs a count or 'auto'}; shift 2 ;;
-    --shards=*) shards=${1#--shards=}; shift ;;
     *) break ;;
   esac
 done
 build_dir=${1:-"$repo_root/build"}
 out_dir="$repo_root/bench-out"
-
-if [ "$quick" = 1 ] && [ -z "$shards" ]; then
-  shards=2
-fi
-if [ -n "$shards" ]; then
-  if [ "$shards" = auto ] || [ "$shards" = 0 ]; then
-    shards=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
-  fi
-  case "$shards" in
-    *[!0-9]*|'') echo "error: --shards wants a positive integer or 'auto', got '$shards'" >&2
-                 exit 1 ;;
-  esac
-  export PPCMM_SWEEP_SHARDS="$shards"
-  echo "sweeps sharded across $shards processes (PPCMM_SWEEP_SHARDS=$shards)"
-fi
 
 if [ ! -d "$build_dir/bench" ]; then
   echo "error: $build_dir/bench not found; configure and build first:" >&2
@@ -131,8 +106,8 @@ if [ "$quick" = 1 ]; then
     echo "  cmake --preset tsan && cmake --build --preset tsan --target machine_sweep_test" >&2
   fi
 
-  # Differential fuzz pass: fixed base seed, wall-clock bounded, every preset x strategy x
-  # fast-path combo. Prefers the dedicated fuzz preset build, falls back to build-asan.
+  # Differential fuzz pass: fixed base seed, wall-clock bounded, every preset x strategy
+  # combo. Prefers the dedicated fuzz preset build, falls back to build-asan.
   fuzz_bin=""
   for candidate in "$repo_root/build-fuzz/examples/fuzz" "$repo_root/build-asan/examples/fuzz"; do
     if [ -x "$candidate" ]; then

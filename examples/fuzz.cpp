@@ -1,12 +1,12 @@
 // Differential MMU fuzzer driver: random kernel-op streams executed in lockstep against
-// the architectural reference oracle, across every optimization preset, reload strategy
-// and fast-path setting.
+// the architectural reference oracle, across every optimization preset and reload
+// strategy.
 //
 //   fuzz [--seed N] [--ops N] [--ncpus N] [--preset NAME] [--check-period N]
 //        [--max-seconds S] [--minimize] [--out FILE] [--replay FILE] [--break-flush]
 //
 // Default: one stream (--seed, --ops) through the full matrix (14 presets x 3 reload
-// strategies x fast path on/off). With --max-seconds the seed keeps incrementing until the
+// strategies). With --max-seconds the seed keeps incrementing until the
 // wall-clock budget is spent. On divergence the failure report is printed, the stream is
 // shrunk to a 1-minimal repro (--minimize), written to --out, and the exit status is 1.
 // --replay runs an existing replay file instead of generating a stream. --break-flush
@@ -184,8 +184,7 @@ int main(int argc, char** argv) {
       std::ostringstream replay;
       replay << "# " << (minimize ? "minimized " : "") << "fuzz divergence: preset "
              << matrix.failing_options.config_name << ", strategy "
-             << ppcmm::ReloadStrategyName(matrix.failing_options.strategy) << ", fast path "
-             << (matrix.failing_options.fast_path ? "on" : "off") << "\n"
+             << ppcmm::ReloadStrategyName(matrix.failing_options.strategy) << "\n"
              << ppcmm::SerializeStream(repro);
       if (!out_path.empty()) {
         if (!WriteFile(out_path, replay.str())) {
@@ -216,7 +215,7 @@ int main(int argc, char** argv) {
     }
   } else {
     do {
-      std::printf("seed %llu: %u ops across %zu preset(s) x 6 combos\n",
+      std::printf("seed %llu: %u ops across %zu preset(s) x 3 strategies\n",
                   static_cast<unsigned long long>(seed), ops, presets.size());
       std::fflush(stdout);
       // At ncpus > 1 the SMP generator mixes in cpu-switch ops so tasks actually migrate;

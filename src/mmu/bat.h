@@ -73,14 +73,8 @@ class BatArray {
 
   uint32_t ValidCount() const;
 
-  // Monotonic count of register writes (Set/Clear). The MMU's host fast path snapshots it:
-  // a memoized BAT-miss (or BAT-hit) outcome is only replayed while no BAT has been
-  // reprogrammed since it was recorded.
-  uint64_t generation() const { return generation_; }
-
  private:
   std::array<BatEntry, kNumBats> entries_{};
-  uint64_t generation_ = 0;
 };
 
 }  // namespace ppcmm

@@ -1,32 +1,12 @@
 #include "src/mmu/mmu.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "src/sim/check.h"
 
 namespace ppcmm {
 
 namespace {
-
-// Process-wide override for the fast-path default: -1 = follow the environment,
-// 0/1 = forced by SetFastPathDefault (the torture differential flips this around
-// workloads that build their own System internally).
-std::atomic<int>& FastPathForced() {
-  static std::atomic<int> forced{-1};
-  return forced;
-}
-
-bool FastPathEnvDefault() {
-  const char* env = std::getenv("PPCMM_FAST_PATH");
-  if (env == nullptr) {
-    return true;
-  }
-  const std::string_view value(env);
-  return !(value == "0" || value == "off");
-}
 
 // The attribution cause for a TLB reload: which TLB missed × which strategy serves it.
 AttrCause ReloadCause(ReloadStrategy strategy, bool is_ifetch) {
@@ -43,37 +23,10 @@ AttrCause ReloadCause(ReloadStrategy strategy, bool is_ifetch) {
 
 }  // namespace
 
-bool Mmu::FastPathDefault() {
-  const int forced = FastPathForced().load(std::memory_order_relaxed);
-  if (forced >= 0) {
-    return forced != 0;
-  }
-  return FastPathEnvDefault();
-}
-
-void Mmu::SetFastPathDefault(std::optional<bool> forced) {
-  FastPathForced().store(forced.has_value() ? (*forced ? 1 : 0) : -1,
-                         std::memory_order_relaxed);
-}
-
-void Mmu::SetFastPathEnabled(bool enabled) {
-  fast_path_enabled_ = enabled;
-  FastPathInvalidate();
-}
-
-void Mmu::FastPathInvalidate() {
-  for (auto& bank : banks_) {
-    for (auto& side : bank->fast_slots) {
-      side.fill(FastSlot{});
-    }
-  }
-}
-
 Mmu::Mmu(Machine& machine, const MmuPolicy& policy, PhysAddr htab_base)
     : machine_(machine),
       policy_(policy),
-      htab_(machine.config().htab_ptegs, htab_base),
-      fast_path_enabled_(FastPathDefault()) {
+      htab_(machine.config().htab_ptegs, htab_base) {
   const uint32_t ncpus = std::max(1u, machine.config().ncpus);
   banks_.reserve(ncpus);
   for (uint32_t cpu = 0; cpu < ncpus; ++cpu) {
@@ -98,69 +51,12 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
 
   const bool is_ifetch = IsInstruction(kind);
   const bool is_write = IsWrite(kind);
-  const uint32_t epn = ea.EffPageNumber();
-  FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
-
-  // Host fast path: replay the memoized outcome for this page when nothing it depends on
-  // has changed. Everything up to the commit point is a pure read — a rejected memo must
-  // leave no trace in the simulation.
-  if (fast_path_enabled_ && slot.eff_page == epn && slot.gen == FastGen()) {
-    if (slot.entry == nullptr) {
-      // Memoized BAT hit. BAT state is unchanged (generation match) and BAT blocks are
-      // page-aligned linear maps, so the same effective page still hits the same block and
-      // lands in the same frame.
-      ++fast_hits_;
-      ++counters.bat_translations;
-      const PhysAddr pa = PhysAddr::FromFrame(slot.bat_frame, ea.PageOffset());
-      if (is_ifetch) {
-        machine_.TouchInstruction(pa, !slot.bat_cache_inhibited);
-      } else {
-        machine_.TouchData(pa, is_write, !slot.bat_cache_inhibited);
-      }
-      return AccessOutcome::kOk;
-    }
-    TlbEntry* entry = slot.entry;
-    if (entry->valid && entry->vsid.value == slot.vsid &&
-        entry->page_index == (epn & kPageIndexMask) &&
-        (!is_write || (entry->writable && entry->changed))) {
-      // The segment registers are unchanged (generation match), so resolving `ea` would
-      // yield slot.vsid again; the way still holds exactly that tag, so the associative
-      // lookup would hit it; the write gate guarantees no protection fault and no pending
-      // C-bit work. Replay the lookup's side effects and charge the payload access.
-      ++fast_hits_;
-      Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
-      if (is_ifetch) {
-        ++counters.itlb_accesses;
-      } else {
-        ++counters.dtlb_accesses;
-      }
-      tlb.TouchLru(entry);
-      const PhysAddr pa = PhysAddr::FromFrame(entry->frame, ea.PageOffset());
-      if (is_ifetch) {
-        machine_.TouchInstruction(pa, !entry->cache_inhibited);
-      } else {
-        machine_.TouchData(pa, is_write, !entry->cache_inhibited);
-      }
-      return AccessOutcome::kOk;
-    }
-  }
-  if (fast_path_enabled_) {
-    ++fast_misses_;
-  }
 
   // BAT translation runs in parallel with the segment lookup; a BAT hit abandons the
   // page-table path entirely (§3).
   const BatArray& bats = is_ifetch ? ibats_ : dbats_;
   if (const std::optional<BatHit> hit = bats.Translate(ea, supervisor); hit.has_value()) {
     ++counters.bat_translations;
-    if (fast_path_enabled_) {
-      slot = FastSlot{.eff_page = epn,
-                      .vsid = 0,
-                      .gen = FastGen(),
-                      .entry = nullptr,
-                      .bat_frame = hit->pa.PageFrame(),
-                      .bat_cache_inhibited = hit->cache_inhibited};
-    }
     if (is_ifetch) {
       machine_.TouchInstruction(hit->pa, !hit->cache_inhibited);
     } else {
@@ -215,15 +111,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
     bank_->dtlb.MarkChanged(vp);  // sets entry->changed: stores only come through the DTLB
   }
 
-  if (fast_path_enabled_) {
-    slot = FastSlot{.eff_page = epn,
-                    .vsid = vp.vsid.value,
-                    .gen = FastGen(),
-                    .entry = entry,
-                    .bat_frame = 0,
-                    .bat_cache_inhibited = false};
-  }
-
   const PhysAddr pa = PhysAddr::FromFrame(entry->frame, ea.PageOffset());
   if (is_ifetch) {
     machine_.TouchInstruction(pa, !entry->cache_inhibited);
@@ -238,69 +125,60 @@ uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind 
   *outcome = AccessOutcome::kOk;
   const bool is_ifetch = IsInstruction(kind);
   const bool is_write = IsWrite(kind);
+  HwCounters& counters = machine_.counters();
   uint32_t done = 0;
   while (done < count) {
-    const EffAddr cur = ea + done * stride;
-    // Span replay is legal only when the memo fast path is trusted for this page and no
-    // fault injector demands per-access polling. The validity test is byte-for-byte the
-    // one Access() applies; a span that validates proves every remaining in-page access
-    // would take the identical memo hit, because nothing the replay does (cache state,
-    // counters, LRU ticks) feeds back into the generation counters or the entry tag.
-    if (fast_path_enabled_ && injector_ == nullptr) {
-      const uint32_t epn = cur.EffPageNumber();
-      FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
-      if (slot.eff_page == epn && slot.gen == FastGen()) {
-        const uint32_t offset = cur.PageOffset();
-        const uint32_t in_page = (kPageSize - 1 - offset) / stride + 1;
-        const uint32_t n = std::min(count - done, in_page);
-        HwCounters& counters = machine_.counters();
-        if (slot.entry == nullptr) {
-          // Memoized BAT hit: the block is a page-aligned linear map, so the whole
-          // in-page run lands in the memoized frame.
-          ++span_runs_;
-          span_accesses_ += n;
-          fast_hits_ += n;
-          counters.bat_translations += n;
-          const PhysAddr pa = PhysAddr::FromFrame(slot.bat_frame, offset);
-          if (is_ifetch) {
-            machine_.TouchInstructionRun(pa, stride, n, !slot.bat_cache_inhibited);
-          } else {
-            machine_.TouchDataRun(pa, stride, n, is_write, !slot.bat_cache_inhibited);
-          }
-          done += n;
-          continue;
-        }
-        TlbEntry* entry = slot.entry;
-        if (entry->valid && entry->vsid.value == slot.vsid &&
-            entry->page_index == (epn & kPageIndexMask) &&
-            (!is_write || (entry->writable && entry->changed))) {
-          ++span_runs_;
-          span_accesses_ += n;
-          fast_hits_ += n;
-          Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
-          if (is_ifetch) {
-            counters.itlb_accesses += n;
-          } else {
-            counters.dtlb_accesses += n;
-          }
-          tlb.TouchLruRun(entry, n);
-          const PhysAddr pa = PhysAddr::FromFrame(entry->frame, offset);
-          if (is_ifetch) {
-            machine_.TouchInstructionRun(pa, stride, n, !entry->cache_inhibited);
-          } else {
-            machine_.TouchDataRun(pa, stride, n, is_write, !entry->cache_inhibited);
-          }
-          done += n;
-          continue;
-        }
-      }
-    }
-    const AccessOutcome result = Access(cur, kind);
+    const EffAddr first = ea + done * stride;
+    const AccessOutcome result = Access(first, kind);
     if (result != AccessOutcome::kOk) {
       *outcome = result;
       return done;
     }
     ++done;
+    // The rest of the run inside this page. An armed injector polls on every access, so
+    // only the per-access path may serve it.
+    const uint32_t n = std::min(count - done, (kPageSize - 1 - first.PageOffset()) / stride);
+    if (n == 0 || injector_ != nullptr) {
+      continue;
+    }
+    // Span validity, read once from live state. Nothing the access above or the replay
+    // below does (cache state, counters, LRU ticks) writes a BAT, a segment register or a
+    // TLB tag, so what this page resolves to now is what each remaining access would see.
+    const EffAddr next = first + stride;
+    const BatArray& bats = is_ifetch ? ibats_ : dbats_;
+    PhysAddr pa;
+    bool cached = true;
+    if (const std::optional<BatHit> hit = bats.Translate(next, next.IsKernel());
+        hit.has_value()) {
+      // BAT blocks are page-aligned linear maps: the whole in-page run lands in one frame.
+      counters.bat_translations += n;
+      pa = hit->pa;
+      cached = !hit->cache_inhibited;
+    } else {
+      Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
+      TlbEntry* entry = tlb.Find(bank_->segments.Resolve(next));
+      // The write gate: a store replays only through an entry with no pending protection
+      // fault or C-bit work; anything else takes the per-access path.
+      if (entry == nullptr || (is_write && !(entry->writable && entry->changed))) {
+        continue;
+      }
+      if (is_ifetch) {
+        counters.itlb_accesses += n;
+      } else {
+        counters.dtlb_accesses += n;
+      }
+      tlb.TouchLruRun(entry, n);
+      pa = PhysAddr::FromFrame(entry->frame, next.PageOffset());
+      cached = !entry->cache_inhibited;
+    }
+    ++span_runs_;
+    span_accesses_ += n;
+    if (is_ifetch) {
+      machine_.TouchInstructionRun(pa, stride, n, cached);
+    } else {
+      machine_.TouchDataRun(pa, stride, n, is_write, cached);
+    }
+    done += n;
   }
   return done;
 }

@@ -21,7 +21,6 @@
 #ifndef PPCMM_SRC_MMU_MMU_H_
 #define PPCMM_SRC_MMU_MMU_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -134,13 +133,13 @@ class Mmu {
   // accesses completed; on a fault `*outcome` names it and the caller resumes at
   // ea + done*stride after repairing the PTE tree (the kernel fault loop).
   //
-  // The speed comes from *translation spans*: when the memo slot for the current page
-  // validates (generation counters match, the TLB entry still carries the memoized tag,
-  // and the write gate shows no pending protection/C-bit work), every remaining access
-  // inside that page is proven to replay the identical memo hit, so the whole in-page run
-  // is charged at once — one counter add, one LRU tick advance, one batched payload charge.
-  // Span validity keys off generation counters and entry tags only; anything else (a fault
-  // injector being armed, fast path off, memo miss) degrades to the per-access path.
+  // The speed comes from *translation spans*: each page's first access goes through
+  // Access(); when it succeeds, the rest of the run inside that page is judged against the
+  // live BAT/TLB state, read once. A BAT hit, or a resident TLB entry for the page with no
+  // pending protection or C-bit work, proves every remaining in-page access would replay
+  // the identical lookup, so the run is charged at once — one counter add, one LRU tick
+  // advance, one batched payload charge. Nothing is remembered across calls. An armed
+  // fault injector (which must poll on every access) degrades to the per-access path.
   uint32_t AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
                      AccessOutcome* outcome);
 
@@ -156,11 +155,10 @@ class Mmu {
 
   // ---- SMP ----
   //
-  // Each simulated CPU owns a bank of private MMU state: split I/D TLBs, segment
-  // registers, and the host-side memo slots. The BATs, the HTAB, and the backing PTE
-  // tree are shared, exactly like physical memory. SetCurrentCpu moves the translation
-  // spotlight; everything above (Access, reloads, local flushes) then reads and writes
-  // that CPU's bank.
+  // Each simulated CPU owns a bank of private MMU state: split I/D TLBs and segment
+  // registers. The BATs, the HTAB, and the backing PTE tree are shared, exactly like
+  // physical memory. SetCurrentCpu moves the translation spotlight; everything above
+  // (Access, reloads, local flushes) then reads and writes that CPU's bank.
   uint32_t NumCpus() const { return static_cast<uint32_t>(banks_.size()); }
   void SetCurrentCpu(uint32_t cpu) { bank_ = banks_[cpu].get(); }
 
@@ -199,54 +197,13 @@ class Mmu {
     return DataMemCharger(machine_, policy_.cache_page_tables);
   }
 
-  // ---- host fast path ----
-  //
-  // A simulation-invisible memoization cache over Access(): a direct-mapped table keyed by
-  // effective page number and access side remembers where the last full walk for that page
-  // landed (the TLB entry it hit, or the BAT frame that matched), so a repeated reference
-  // replays the identical counter increments, LRU tick, and payload cache charge without
-  // re-scanning the BATs, re-resolving the segment, or re-searching the TLB's ways. The
-  // memo is only trusted when (a) the segment-register and BAT generation counters still
-  // match the snapshot taken at install time, and (b) the TLB entry it names is still
-  // valid, still tagged with the same (VSID, page index), and has no pending protection or
-  // C-bit work; anything else falls back to the full path. See DESIGN.md for the complete
-  // invalidation contract. Counters and cycles are bit-identical either way (fast_path_test
-  // proves it differentially).
-
-  // Process-wide default for new Mmu instances: on unless PPCMM_FAST_PATH=0/off in the
-  // environment, or a test forced it with SetFastPathDefault.
-  static bool FastPathDefault();
-  static void SetFastPathDefault(std::optional<bool> forced);  // nullopt = back to the env
-
-  void SetFastPathEnabled(bool enabled);
-  bool fast_path_enabled() const { return fast_path_enabled_; }
-  // Drops every memoized translation. Host-side only: charges nothing, counts nothing.
-  void FastPathInvalidate();
-  // Host-side statistics (not HwCounters: they must not exist inside the simulation).
-  uint64_t fast_path_hits() const { return fast_hits_; }
-  uint64_t fast_path_misses() const { return fast_misses_; }
-  // Translation-span replays served by AccessRun and the accesses they covered (every
-  // span access is also counted in fast_path_hits).
+  // Translation-span statistics (host-side, not HwCounters): how many AccessRun page runs
+  // were charged at once, and how many accesses they covered.
   uint64_t span_runs() const { return span_runs_; }
   uint64_t span_accesses() const { return span_accesses_; }
 
  private:
-  // One memoized outcome. `entry == nullptr` marks a memoized BAT hit (bat_frame/WIMG-I
-  // valid); otherwise `entry` points at the TLB way the last full walk hit, re-validated
-  // against `vsid` and the slot's page tag on every use.
-  struct FastSlot {
-    uint32_t eff_page = kNoFastTag;  // 20-bit effective page number, kNoFastTag = empty
-    uint32_t vsid = 0;
-    uint64_t gen = 0;                // segment+BAT generation snapshot at install
-    TlbEntry* entry = nullptr;
-    uint32_t bat_frame = 0;
-    bool bat_cache_inhibited = false;
-  };
-  static constexpr uint32_t kFastPathSlots = 256;  // per side, direct-mapped
-  static constexpr uint32_t kNoFastTag = 0xFFFFFFFFu;
-
-  // Per-CPU MMU state (see the SMP section above). unique_ptr keeps bank addresses
-  // stable: FastSlot::entry aliases into a bank's TLB ways.
+  // Per-CPU MMU state (see the SMP section above).
   struct CpuBank {
     explicit CpuBank(const MachineConfig& config)
         : itlb("itlb", config.itlb_entries, config.tlb_associativity),
@@ -254,17 +211,8 @@ class Mmu {
     SegmentRegs segments;
     Tlb itlb;
     Tlb dtlb;
-    std::array<std::array<FastSlot, kFastPathSlots>, 2> fast_slots{};
   };
 
-  // The combined mutation clock the fast path snapshots. Each component only ever
-  // increments, so the sum strictly increases on any segment or BAT write and a stale
-  // snapshot can never compare equal again. Segment registers are per-CPU, so the clock
-  // is read against the current bank — memo slots live in the same bank, keeping every
-  // snapshot and its later comparison on one CPU.
-  uint64_t FastGen() const {
-    return bank_->segments.generation() + ibats_.generation() + dbats_.generation();
-  }
   // Refills the TLB after a miss. Returns the walk result or nullopt on page fault.
   std::optional<PteWalkInfo> Reload(EffAddr ea, VirtPage vp, AccessKind kind);
   // Software path shared by every strategy once the HTAB (if any) has missed.
@@ -284,9 +232,6 @@ class Mmu {
   AllLiveVsidOracle all_live_;
   FaultInjector* injector_ = nullptr;
 
-  bool fast_path_enabled_;
-  uint64_t fast_hits_ = 0;
-  uint64_t fast_misses_ = 0;
   uint64_t span_runs_ = 0;
   uint64_t span_accesses_ = 0;
 };

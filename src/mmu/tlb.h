@@ -46,31 +46,34 @@ class Tlb {
   std::optional<TlbEntry> Lookup(VirtPage vp);
 
   // Lookup variant returning a pointer into the TLB's backing store (nullptr on miss), with
-  // byte-identical LRU/tick behaviour. The pointer stays valid for the TLB's lifetime (the
-  // way array never reallocates) but the *entry* it names may be replaced or invalidated by
-  // any later Insert/Invalidate*; callers that cache it (the MMU host fast path) must
-  // re-validate the entry's valid bit and (vsid, page_index) tag before trusting it.
+  // byte-identical LRU/tick behaviour. The *entry* it names may be replaced or invalidated
+  // by any later Insert/Invalidate*, so callers must not hold it across those.
   // Inline: this sits on the translation path of every non-BAT memory reference.
   TlbEntry* LookupPtr(VirtPage vp) {
     ++tick_;
+    TlbEntry* entry = Find(vp);
+    if (entry != nullptr) {
+      entry->last_used = tick_;
+    }
+    return entry;
+  }
+
+  // The resident entry for `vp`, or nullptr, with no LRU side effect. AccessRun reads span
+  // validity through it before it commits any charge.
+  TlbEntry* Find(VirtPage vp) {
     TlbEntry* ways = SetBase(SetIndex(vp.page_index));
     for (uint32_t w = 0; w < associativity_; ++w) {
       TlbEntry& entry = ways[w];
       if (entry.valid && entry.vsid == vp.vsid && entry.page_index == vp.page_index) {
-        entry.last_used = tick_;
         return &entry;
       }
     }
     return nullptr;
   }
 
-  // Refreshes LRU state on an entry known to be resident — exactly the side effect a
-  // Lookup hit would have had. Host-fast-path use only.
-  void TouchLru(TlbEntry* entry) { entry->last_used = ++tick_; }
-
-  // `n` back-to-back hits on the same resident entry, collapsed: bit-identical to calling
-  // TouchLru `n` times (the tick advances by n and the entry ends up most recent).
-  // Host-fast-path use only (translation-span replay).
+  // `n` back-to-back hits on the same resident entry, collapsed: bit-identical to `n`
+  // LookupPtr hits on it (the tick advances by n and the entry ends up most recent).
+  // Translation-span replay only.
   void TouchLruRun(TlbEntry* entry, uint32_t n) {
     tick_ += n;
     entry->last_used = tick_;

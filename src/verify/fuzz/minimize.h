@@ -3,7 +3,7 @@
 // Because skipped ops are free (see op_stream.h — every subsequence of a valid stream is
 // valid), minimization is pure deletion: truncate to the failing op, then delta-debug —
 // delete halves, then quarters, ... then single ops, re-running the one failing
-// (preset, strategy, fast-path) combination after each candidate deletion and keeping any
+// (preset, strategy) combination after each candidate deletion and keeping any
 // deletion that still diverges. Loops to a fixpoint, so the result is 1-minimal: removing
 // any single remaining op makes the divergence disappear.
 

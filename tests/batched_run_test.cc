@@ -1,17 +1,22 @@
 // The batched-run contract: UserTouchRun / Mmu::AccessRun must be bit-identical to
-// issuing the same accesses one UserTouch at a time — across every fuzz preset, every
-// reload strategy, and with the host fast path on and off. The driven workload crosses
-// every boundary a translation span must not batch across: demand faults mid-run, COW
-// breaks mid-run, eager (tlbie) and lazy (VSID-bump) munmap flushes between runs, context
-// switches, sub-page strides, and deferred first-store C-bit traps.
+// issuing the same accesses one UserTouch at a time — full HwCounters, cycles and the
+// attribution ledger — across every fuzz preset and every reload strategy, at one CPU and
+// at four. The driven workloads cross every boundary a translation span must not batch
+// across: demand faults mid-run, COW breaks mid-run, a run whose first access misses the
+// TLB, deferred first-store C-bit traps through clean entries, framebuffer BAT runs and a
+// BAT rewrite between runs, eager (tlbie) and lazy (VSID-bump) munmap flushes between
+// runs, an armed fault injector, context switches, CPU switches and sub-page strides.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
+#include "src/sim/fault_injector.h"
 #include "src/verify/fuzz/differential.h"
 
 namespace ppcmm {
@@ -29,6 +34,18 @@ void ExpectCountersIdentical(const HwCounters& single, const HwCounters& batched
     EXPECT_TRUE(found) << name;
   });
   EXPECT_EQ(single.cycles, batched.cycles);
+}
+
+void ExpectLedgersIdentical(const CycleLedger& single, const CycleLedger& batched) {
+  const std::vector<CycleLedger::Cell> a = single.Cells();
+  const std::vector<CycleLedger::Cell> b = batched.Cells();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].path, b[i].path) << "cell " << i;
+    EXPECT_EQ(a[i].task, b[i].task) << "cell " << i;
+    EXPECT_EQ(a[i].cycles, b[i].cycles) << "cell " << i;
+  }
+  EXPECT_EQ(single.TotalAttributed(), batched.TotalAttributed());
 }
 
 // Every touch in the workload goes through here: as one page-grained run, or unrolled
@@ -58,8 +75,8 @@ void DriveWorkload(System& sys, bool batched) {
   touch(EffAddr(kUserDataBase), 64, 8 * (kPageSize / 64), AccessKind::kLoad);
   const TaskId child = kernel.Fork(a);
   kernel.SwitchTo(child);
-  // Loads memoize the read-only shared translations, then the store run COW-breaks every
-  // page mid-run.
+  // Loads install the read-only shared translations, then the store run COW-breaks every
+  // page.
   touch(EffAddr(kUserDataBase), kPageSize, 16, AccessKind::kLoad);
   touch(EffAddr(kUserDataBase), kPageSize, 16, AccessKind::kStore);
   const uint32_t map = kernel.Mmap(30);
@@ -68,12 +85,82 @@ void DriveWorkload(System& sys, bool batched) {
   const uint32_t map2 = kernel.Mmap(4);
   touch(EffAddr::FromPage(map2), kPageSize, 4, AccessKind::kStore);
   kernel.Munmap(map2, 4);  // below the cutoff: eager per-page tlbie flush
-  // Post-flush re-touch: spans must not survive the generation bumps above.
+  // Post-flush re-touch: spans must see the flushes above, never a stale translation.
   touch(EffAddr(kUserDataBase), kPageSize, 32, AccessKind::kLoad);
   kernel.SwitchTo(a);
   touch(EffAddr(kUserDataBase), 512, 16 * 8, AccessKind::kLoad);
   kernel.Exit(child);
   kernel.RunIdle(Cycles(20000));
+
+  const TaskId second = kernel.Fork(a);
+  kernel.SwitchTo(second);
+  // A store run that hits COW pages mid-run: page 0 is broken first, so the run starts
+  // on a private page and meets a still-shared one at every later page boundary.
+  touch(EffAddr(kUserDataBase), kPageSize, 1, AccessKind::kStore);
+  touch(EffAddr(kUserDataBase), 1024, 4 * 4, AccessKind::kStore);
+  // A run whose first access misses the TLB: every page reloads, then the rest replays.
+  sys.mmu().TlbInvalidateAll();
+  touch(EffAddr(kUserDataBase), 256, 4 * (kPageSize / 256), AccessKind::kLoad);
+  // The loads above reloaded clean entries (unless the preset marks dirty eagerly), so
+  // each page's first store traps for the C bit and the rest of the page replays.
+  touch(EffAddr(kUserDataBase), 256, 4 * (kPageSize / 256), AccessKind::kStore);
+  // Framebuffer runs at stride 1024: through the DBAT, then, after the BAT is cleared
+  // between runs, through cache-inhibited TLB entries for the I/O VMA.
+  const uint32_t fb = kernel.MapFramebuffer();
+  kernel.SetFramebufferBat(true);
+  touch(EffAddr::FromPage(fb), 1024, 8 * 4, AccessKind::kStore);
+  kernel.SetFramebufferBat(false);
+  touch(EffAddr::FromPage(fb), 1024, 8 * 4, AccessKind::kLoad);
+  // An armed fault injector polls on every access, so no span may form while it is set.
+  FaultInjector injector(0x5EED);
+  injector.Enable(FaultClass::kSpuriousTlbFlush, 5);
+  kernel.SetFaultInjector(&injector);
+  const uint64_t spans_before = sys.mmu().span_accesses();
+  touch(EffAddr(kUserDataBase), 128, 4 * (kPageSize / 128), AccessKind::kLoad);
+  touch(EffAddr(kUserDataBase), 128, 4 * (kPageSize / 128), AccessKind::kStore);
+  EXPECT_EQ(sys.mmu().span_accesses(), spans_before) << "a span formed under the injector";
+  kernel.SetFaultInjector(nullptr);
+  kernel.Exit(second);
+  kernel.RunIdle(Cycles(20000));
+}
+
+// Four CPUs, SwitchCpu between runs, and tasks migrating between CPUs so munmap flushes
+// reach remote TLBs through IPI shootdowns (eager below the cutoff, lazy above it).
+void DriveSmpWorkload(System& sys, bool batched) {
+  Kernel& kernel = sys.kernel();
+  auto touch = [&](EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
+    Touch(kernel, batched, start, stride, count, kind);
+  };
+  const uint32_t ncpus = kernel.ncpus();
+  std::vector<TaskId> tasks;
+  for (uint32_t i = 0; i <= ncpus; ++i) {  // one spare task to rotate onto CPUs
+    const TaskId t = kernel.CreateTask("smp");
+    kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 16, .stack_pages = 2});
+    tasks.push_back(t);
+  }
+  for (uint32_t cpu = 0; cpu < ncpus; ++cpu) {
+    kernel.SwitchCpu(cpu);
+    kernel.SwitchTo(tasks[cpu]);
+    touch(EffAddr(kUserDataBase), 512, 8 * (kPageSize / 512), AccessKind::kStore);
+  }
+  size_t spare = ncpus;
+  for (uint32_t round = 0; round < 12; ++round) {
+    const uint32_t cpu = (round * 3) % ncpus;
+    kernel.SwitchCpu(cpu);
+    if (round % 3 == 2) {
+      // Migrate: the spare task runs here, the task it displaces becomes the spare.
+      const TaskId displaced = kernel.CurrentOn(cpu);
+      kernel.SwitchTo(tasks[spare]);
+      spare = static_cast<size_t>(
+          std::find(tasks.begin(), tasks.end(), displaced) - tasks.begin());
+    }
+    touch(EffAddr(kUserDataBase), 256, 4 * (kPageSize / 256),
+          round % 2 == 0 ? AccessKind::kLoad : AccessKind::kStore);
+    const uint32_t pages = round % 4 == 3 ? 24 : 3;
+    const uint32_t map = kernel.Mmap(pages);
+    touch(EffAddr::FromPage(map), 1024, pages * 4, AccessKind::kStore);
+    kernel.Munmap(map, pages);
+  }
 }
 
 // The reload-strategy axis, pinned the way RunDifferential pins it.
@@ -91,29 +178,35 @@ std::vector<StrategyCase> Strategies() {
   };
 }
 
-TEST(BatchedRunTest, BitIdenticalAcrossPresetsStrategiesAndFastPath) {
+// Runs `drive` per-access and batched on two fresh Systems and compares everything the
+// simulation exposes. Per-access calls never form spans; the batched side must.
+void ExpectBatchedMatchesSingle(const MachineConfig& machine, const OptimizationConfig& config,
+                                void (*drive)(System&, bool)) {
+  System single(machine, config);
+  single.machine().attr().SetEnabled(true);
+  drive(single, /*batched=*/false);
+
+  System batched(machine, config);
+  batched.machine().attr().SetEnabled(true);
+  drive(batched, /*batched=*/true);
+
+  ExpectCountersIdentical(single.counters(), batched.counters());
+  ExpectLedgersIdentical(single.machine().attr(), batched.machine().attr());
+  EXPECT_EQ(single.mmu().span_accesses(), 0u);
+  EXPECT_GT(batched.mmu().span_accesses(), 0u) << "spans never engaged";
+}
+
+TEST(BatchedRunTest, BitIdenticalAcrossPresetsAndStrategies) {
   for (const FuzzPreset& preset : FuzzPresets()) {
     for (const StrategyCase& s : Strategies()) {
-      OptimizationConfig config = preset.config;
-      config.no_htab_direct_reload = s.direct_reload;
-      for (const bool fast : {false, true}) {
-        SCOPED_TRACE(preset.name + "/" + s.name + (fast ? "/fast" : "/slow"));
-        System single(s.machine, config);
-        single.mmu().SetFastPathEnabled(fast);
-        DriveWorkload(single, /*batched=*/false);
-
-        System batched(s.machine, config);
-        batched.mmu().SetFastPathEnabled(fast);
-        DriveWorkload(batched, /*batched=*/true);
-
-        ExpectCountersIdentical(single.counters(), batched.counters());
-        // Per-access calls never form spans; batched runs only form them on the fast path.
-        EXPECT_EQ(single.mmu().span_accesses(), 0u);
-        if (fast) {
-          EXPECT_GT(batched.mmu().span_accesses(), 0u) << "spans never engaged";
-        } else {
-          EXPECT_EQ(batched.mmu().span_accesses(), 0u);
-        }
+      for (const uint32_t ncpus : {1u, 4u}) {
+        SCOPED_TRACE(preset.name + "/" + s.name + "/ncpus" + std::to_string(ncpus));
+        OptimizationConfig config = preset.config;
+        config.no_htab_direct_reload = s.direct_reload;
+        MachineConfig machine = s.machine;
+        machine.ncpus = ncpus;
+        ExpectBatchedMatchesSingle(machine, config,
+                                   ncpus == 1 ? DriveWorkload : DriveSmpWorkload);
       }
     }
   }
@@ -146,9 +239,8 @@ TEST(BatchedRunTest, AttributionSumsBitExactlyUnderSpans) {
 
 TEST(BatchedRunTest, SpansCarryMostOfASteadyStateStream) {
   // The perf claim behind the API: once a working set is resident, nearly every access in
-  // a page-grained run rides a span instead of a per-access memo probe.
+  // a page-grained run rides a span; only each page's first access takes the full path.
   System sys(MachineConfig::Ppc603(133), OptimizationConfig::OnlyDirectReload());
-  sys.mmu().SetFastPathEnabled(true);
   Kernel& kernel = sys.kernel();
   const TaskId t = kernel.CreateTask("t");
   kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 40, .stack_pages = 2});

@@ -1,8 +1,9 @@
 // Differential-fuzzer smoke tests:
 //
 //   * every optimization preset survives a 10k-op differential run at a fixed seed with
-//     zero divergences (reload strategy and fast path rotate with the preset index so the
-//     suite covers all six combinations);
+//     zero divergences (the reload strategy rotates with the preset index so the suite
+//     covers all three), and every preset executes batched touch runs, so translation
+//     spans stay checked in lockstep against the oracle;
 //   * a planted kernel bug (eager page flush skips its tlbie) is detected and the
 //     minimizer shrinks the failing stream to a handful of ops that still reproduce it;
 //   * streams serialize to replay files and back losslessly, and generation is
@@ -31,7 +32,6 @@ TEST_P(FuzzPresetSmoke, TenThousandOpsNoDivergence) {
                                        ReloadStrategy::kSoftwareHtab,
                                        ReloadStrategy::kHardwareHtabWalk};
   options.strategy = strategies[index % 3];
-  options.fast_path = index % 2 == 0;
   options.check_period = 2000;
 
   const FuzzStream stream = GenerateStream(0xF00D + static_cast<uint64_t>(index), 10000);
@@ -42,6 +42,7 @@ TEST_P(FuzzPresetSmoke, TenThousandOpsNoDivergence) {
   EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFork)], 0u);
   EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kMmap)], 0u);
   EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFbTouch)], 0u);
+  EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kTouchRun)], 0u);
 }
 
 std::string PresetCaseName(const ::testing::TestParamInfo<int>& info) {
@@ -60,7 +61,6 @@ TEST(FuzzMinimizer, ShrinksPlantedDivergenceToAFewOps) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 200;
   options.break_tlb_invalidate = true;
 
@@ -110,7 +110,6 @@ TEST_P(FuzzSmpLockstep, TenThousandOpsNoDivergence) {
     options.config_name = preset.name;
     options.strategy =
         ncpus == 4 ? ReloadStrategy::kHardwareHtabWalk : ReloadStrategy::kSoftwareHtab;
-    options.fast_path = true;
     options.check_period = 2000;
     options.ncpus = ncpus;
 
@@ -140,7 +139,6 @@ TEST(FuzzMinimizer, ShrinksPlantedDivergenceAtFourCpus) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 100;
   options.break_tlb_invalidate = true;
   options.ncpus = 4;
@@ -174,7 +172,6 @@ TEST(FuzzMinimizer, BrokenShootdownNeedsACpuHopToReproduce) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 100;
   options.break_shootdown = true;
   options.ncpus = 4;

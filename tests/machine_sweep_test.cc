@@ -97,11 +97,10 @@ TEST(MachineSweepRunnerTest, ParallelSweepMatchesSerialAcrossAllProfiles) {
   }
 }
 
-TEST(MachineSweepRunnerTest, SmpShootdownStormIsBitIdenticalAcrossRunsAndShards) {
+TEST(MachineSweepRunnerTest, SmpShootdownStormIsBitIdenticalAcrossRunsAndThreads) {
   // The SMP interleaving model must stay deterministic under every sweep topology: the
   // same (seed, ncpus) cell produces bit-identical cycle totals and shootdown counters
-  // whether simulated twice in-process, on a thread pool, or across forked --shards style
-  // worker processes. This is the property that makes multi-CPU BENCH rows trustworthy.
+  // whether simulated twice in-process or on a thread pool. This is the property that makes multi-CPU BENCH rows trustworthy.
   struct Cell {
     uint64_t seed;
     uint32_t ncpus;
@@ -143,10 +142,8 @@ TEST(MachineSweepRunnerTest, SmpShootdownStormIsBitIdenticalAcrossRunsAndShards)
   const std::vector<uint64_t> once = SweepRunner(1).Map(cells.size(), simulate);
   const std::vector<uint64_t> again = SweepRunner(1).Map(cells.size(), simulate);
   const std::vector<uint64_t> pooled = SweepRunner(3).Map(cells.size(), simulate);
-  const std::vector<uint64_t> sharded = SweepRunner(1).MapSharded(cells.size(), 3, simulate);
   EXPECT_EQ(once, again);
   EXPECT_EQ(once, pooled);
-  EXPECT_EQ(once, sharded);
   // Width must matter: the same seed at different ncpus is a different machine.
   EXPECT_NE(once[0], once[1]);
   EXPECT_NE(once[1], once[2]);

@@ -1,5 +1,5 @@
 // Checked-in replay corpus: every tests/replays/*.replay file must parse and run
-// divergence-free through the full strategy x fast-path matrix under both the baseline and
+// divergence-free through the full reload-strategy matrix under both the baseline and
 // the fully-optimized preset. The corpus pins down op mixes that once mattered (cutoff
 // boundary remaps, fork/COW/exit interleavings, framebuffer BAT rewrites under tlbia) so
 // they stay covered even if the generator's weights drift.
@@ -53,7 +53,7 @@ TEST_P(ReplayFile, RunsCleanAcrossTheMatrix) {
                                           /*check_period=*/16,
                                           /*break_tlb_invalidate=*/false, ncpus);
     EXPECT_FALSE(result.diverged) << GetParam() << "\n" << result.first_failure.report;
-    EXPECT_EQ(result.runs, 6u);
+    EXPECT_EQ(result.runs, 3u);
   }
 }
 

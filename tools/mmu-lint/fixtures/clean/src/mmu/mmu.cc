@@ -9,13 +9,12 @@ struct CleanMmu {
   }
   void InstallTlbEntry(unsigned ea) { last_ = ea; }
   unsigned AccessRun(unsigned ea, unsigned n) {
-    // Span replay: valid only while the generation combiner matches the memo.
-    for (unsigned i = 0; i < n && gen_ == memo_gen_; ++i) {
+    // Span replay: valid only while the live entry still maps the page.
+    for (unsigned i = 0; i < n && live_ == ea; ++i) {
       last_ = ea + i;
     }
     return last_;
   }
   unsigned last_ = 0;
-  unsigned gen_ = 0;
-  unsigned memo_gen_ = 0;
+  unsigned live_ = 0;
 };

@@ -1,11 +1,10 @@
 // The four interprocedural analyses over the src/ call graph.
 //
-//   FLUSH-CONTRACT-029  every HTAB/PTE/segment mutation reaches a flush primitive on the
-//                       call graph (or is annotated deferred-flush with a reason) — the
+//   FLUSH-CONTRACT-029  every HTAB/PTE mutation reaches a flush primitive on the call
+//                       graph (or is annotated deferred-flush with a reason) — the
 //                       static form of the invariant the coherence auditor checks at
 //                       runtime: a stale translation must be invalidated (tlbie/tlbia,
-//                       IPI shootdown) or made architecturally unreachable (VSID retire,
-//                       segment generation bump).
+//                       IPI shootdown) or made architecturally unreachable (VSID retire).
 //   HOT-CLOSURE-030     the hot-path purity bans hold on everything reachable from the
 //                       registered hot roots, not just the roots — a helper grown under
 //                       Mmu::Access cannot quietly allocate.
@@ -80,35 +79,6 @@ void CheckFlushContract(const LintConfig& config, const Tree& tree, const CallGr
   if (!RuleEnabled(config, "FLUSH-CONTRACT-029")) {
     return;
   }
-  // Self-flushing mutators must actually self-flush: their own body bumps generation_.
-  for (const FlushMutator& mutator : FlushMutators()) {
-    if (!mutator.self_flushing) {
-      continue;
-    }
-    auto it = graph.nodes.find(mutator.id);
-    if (it == graph.nodes.end()) {
-      continue;  // partial fixture tree
-    }
-    bool bumps = false;
-    for (const FuncDef& def : it->second.defs) {
-      const std::string body = tree.files.at(def.file).code.substr(
-          def.body_begin, def.body_end - def.body_begin);
-      if (!FindIdentifier(body, "generation_").empty()) {
-        bumps = true;
-        break;
-      }
-    }
-    if (!bumps) {
-      const FuncDef& def = it->second.defs.front();
-      Emit(tree.files.at(def.file), def.line, "FLUSH-CONTRACT-029",
-           mutator.id + " is registered self-flushing (writes " + mutator.structure +
-               "), but no overload bumps generation_ — stale translations stay reachable",
-           "bump the generation counter in the mutator body, or drop self_flushing in "
-           "FlushMutators() so callers owe an explicit flush",
-           out);
-    }
-  }
-
   for (const auto& [id, node] : graph.nodes) {
     if (IsFlushPrimitive(id)) {
       continue;  // a primitive's own writes are the flush mechanism
@@ -122,7 +92,7 @@ void CheckFlushContract(const LintConfig& config, const Tree& tree, const CallGr
         continue;
       }
       const FlushMutator* mutator = FindMutator(call.callee);
-      if (mutator == nullptr || mutator->self_flushing) {
+      if (mutator == nullptr) {
         continue;
       }
       if (!checked_reach) {

@@ -134,9 +134,9 @@ void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagn
     CheckBody(config, it->second, fn, begin, end, out);
   }
 
-  // SPAN-GEN-027: the registered span-validity bodies must derive validity from
-  // generation counters alone — no wall-clock reads, no pointer identity smuggled in
-  // through casts. Missing bodies rot the table exactly like hot functions, so they fall
+  // SPAN-GEN-027: the registered span-validity body must derive validity from live
+  // BAT/TLB state alone — no wall-clock reads, no pointer identity smuggled in through
+  // casts. Missing bodies rot the table exactly like hot functions, so they fall
   // under HOT-MISSING-025 too.
   for (const HotFunction& fn : SpanValidityFunctions()) {
     const std::string label = fn.qualifier + "::" + fn.name;

@@ -93,7 +93,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncachedRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "LookupPtr", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "TouchLru", {"WalkPte", "MarkPteDirty"}},
+      {"src/mmu/tlb.h", "Tlb", "Find", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
@@ -106,12 +106,11 @@ const std::vector<HotFunction>& HotFunctions() {
 }
 
 const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The two places a translation span is judged valid: the replay gate in AccessRun and
-  // the generation combiner every memo comparison keys off. banned_virtual is unused here
-  // (AccessRun's PTE-tree ban lives in its HotFunctions() entry).
+  // The one place a translation span is judged valid: AccessRun's read of the live
+  // BAT/TLB state. banned_virtual is unused here (AccessRun's PTE-tree ban lives in its
+  // HotFunctions() entry).
   static const std::vector<HotFunction> kSpan = {
       {"src/mmu/mmu.cc", "Mmu", "AccessRun", {}},
-      {"src/mmu/mmu.h", "Mmu", "FastGen", {}},
   };
   return kSpan;
 }
@@ -119,23 +118,23 @@ const std::vector<HotFunction>& SpanValidityFunctions() {
 const std::vector<BannedIdent>& SpanValidityBans() {
   static const std::vector<BannedIdent> kBans = {
       {"SPAN-GEN-027", "reinterpret_cast", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "read validity from the live BAT/TLB state, never from addresses"},
       {"SPAN-GEN-027", "uintptr_t", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "read validity from the live BAT/TLB state, never from addresses"},
       {"SPAN-GEN-027", "intptr_t", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "read validity from the live BAT/TLB state, never from addresses"},
       {"SPAN-GEN-027", "system_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
       {"SPAN-GEN-027", "steady_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
       {"SPAN-GEN-027", "high_resolution_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
       {"SPAN-GEN-027", "clock_gettime", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
       {"SPAN-GEN-027", "gettimeofday", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
       {"SPAN-GEN-027", "timespec_get", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "spans are judged against live BAT/TLB state, not time"},
   };
   return kBans;
 }
@@ -283,20 +282,20 @@ const std::vector<FlushMutator>& FlushMutators() {
   // PageTable::Map is deliberately absent: mapping a previously-invalid page cannot leave
   // a stale positive translation in any TLB (the paper's invariant concerns entries that
   // were visible). HashTable::MarkChanged only sets the C bit, which is a strengthening
-  // write the TLBs already agree with.
+  // write the TLBs already agree with. Segment-register writes (SegmentRegs::Set/LoadAll/
+  // LoadUserSegments) are absent too: TLB entries are tagged by VSID, so once a segment
+  // write has happened no cached state can resolve through the old VSID, and the MMU keeps
+  // no host-side translation cache that could.
   static const std::vector<FlushMutator> kMutators = {
-      {"PageTable::Update", "the PTE tree", false,
+      {"PageTable::Update", "the PTE tree",
        "pair the PTE write with FlushEngine::FlushPage/FlushRange (src/kernel/flush.cc), "
        "which runs tlbie plus the IPI shootdown round"},
-      {"PageTable::Unmap", "the PTE tree", false,
+      {"PageTable::Unmap", "the PTE tree",
        "pair the PTE write with FlushEngine::FlushPage/FlushRange (src/kernel/flush.cc), "
        "which runs tlbie plus the IPI shootdown round"},
-      {"HashTable::Insert", "the HTAB", false,
+      {"HashTable::Insert", "the HTAB",
        "invalidate the displaced translation via Mmu::TlbInvalidatePage (tlbie) or route "
        "the update through FlushEngine (src/kernel/flush.cc)"},
-      {"SegmentRegs::Set", "the segment registers", true, ""},
-      {"SegmentRegs::LoadAll", "the segment registers", true, ""},
-      {"SegmentRegs::LoadUserSegments", "the segment registers", true, ""},
   };
   return kMutators;
 }
@@ -418,9 +417,9 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
                           "table says it does"},
       {"HOT-ATTR-026", "no direct MetricsRegistry/BenchReport/cycle-ledger access in hot "
                        "headers; attribution goes through CycleScope only"},
-      {"SPAN-GEN-027", "translation-span validity may key only off generation counters — "
+      {"SPAN-GEN-027", "translation-span validity comes from live BAT/TLB state only — "
                        "no wall-clock reads or pointer-identity laundering in the "
-                       "registered span-validity bodies"},
+                       "registered span-validity body"},
       {"SMP-IPI-028", "no direct cross-CPU TLB mutation (Mmu::ShootdownInvalidate*) outside "
                       "the IPI shootdown path in src/kernel/flush.cc"},
       {"FLUSH-CONTRACT-029", "every HTAB/PTE/segment mutation must reach a flush primitive "

@@ -73,11 +73,11 @@ const std::vector<HotFunction>& HotFunctions();
 // Globally banned inside every hot function body, with the rule that fires.
 const std::vector<BannedIdent>& HotPathBans();
 
-// SPAN-GEN-027: translation-span validity may key only off generation counters. The
-// registered span-validity bodies (Mmu::AccessRun's replay gate and the FastGen combiner
-// it compares against) must not consult wall-clock time or launder pointer identity into
-// validity state — a recycled TlbEntry at the same address must still invalidate the
-// span. Missing registered bodies fall under HOT-MISSING-025 like the hot functions.
+// SPAN-GEN-027: translation-span validity comes from live BAT/TLB state only. The
+// registered span-validity body (Mmu::AccessRun, which reads that state once per page per
+// call) must not consult wall-clock time or launder pointer identity into validity state —
+// a recycled TlbEntry at the same address must never pass for the one it replaced.
+// A missing registered body falls under HOT-MISSING-025 like the hot functions.
 const std::vector<HotFunction>& SpanValidityFunctions();
 const std::vector<BannedIdent>& SpanValidityBans();
 
@@ -116,11 +116,8 @@ const std::vector<ReceiverType>& MethodReturnTypes();
 
 // FLUSH-CONTRACT-029: every call to one of these mutators must reach a flush primitive.
 struct FlushMutator {
-  std::string id;         // call-graph node id, e.g. "PageTable::Update"
-  std::string structure;  // what it writes, for the diagnostic
-  // Self-flushing mutators carry their own invalidation (a generation bump in their body);
-  // callers owe nothing, but the body is verified to actually contain `generation_`.
-  bool self_flushing = false;
+  std::string id;          // call-graph node id, e.g. "PageTable::Update"
+  std::string structure;   // what it writes, for the diagnostic
   std::string flush_hint;  // fix text naming the nearest flush primitive
 };
 const std::vector<FlushMutator>& FlushMutators();
