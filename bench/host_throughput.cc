@@ -1,14 +1,12 @@
 // Host throughput — how fast the simulator itself runs.
 //
 // Unlike every other bench, the numbers here are about the *host*: simulated accesses and
-// simulated cycles retired per host second, for each reload strategy; batched translation
-// spans against per-access touches; and the configuration sweep run serially versus on the
-// SweepRunner thread pool. Spans must be simulation-invisible, so the span pairs also
-// cross-check that simulated accesses and cycles are bit-identical (batched_run_test
-// proves the full counter set; this is the cheap always-on guard).
+// simulated cycles retired per host second, for each reload strategy, and the
+// configuration sweep run serially versus on the SweepRunner thread pool. The pooled pass
+// must be simulation-invisible, so it cross-checks simulated accesses and cycles against
+// the serial pass.
 //
-// PPCMM_QUICK=1 shrinks the workload for smoke runs (bench/run_all.sh --quick and the
-// ctest-registered host_throughput_test).
+// PPCMM_QUICK=1 shrinks the workload for smoke runs (bench/run_all.sh --quick).
 
 #include <chrono>
 #include <cstdio>
@@ -17,8 +15,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/layout.h"
 #include "src/sim/sweep_runner.h"
 #include "src/workloads/kernel_compile.h"
 #include "src/workloads/report.h"
@@ -62,60 +58,11 @@ RunStats RunOnce(const Strategy& strategy, uint32_t units) {
   return stats;
 }
 
-// ---- batched translation spans ----
-//
-// Streams page-grained runs through a resident working set — the workload shape the
-// UserTouchRun/Mmu::AccessRun batching API exists for. `batched` off replays the exact
-// same access stream one UserTouch at a time, so the off/on pair both times the span
-// replay against the per-access path and cross-checks that the batching is
-// simulation-invisible (identical simulated accesses and cycles).
-struct StreamStats {
-  double host_seconds = 0;
-  uint64_t sim_accesses = 0;
-  uint64_t sim_cycles = 0;
-  uint64_t span_runs = 0;
-  uint64_t span_accesses = 0;
-};
-
-StreamStats RunStream(const Strategy& strategy, uint32_t ws_pages, uint32_t stride,
-                      int passes, bool batched) {
-  System system(strategy.machine, strategy.opts);
-  Kernel& kernel = system.kernel();
-  const TaskId task = kernel.CreateTask("stream");
-  kernel.Exec(task, ExecImage{.text_pages = 4, .data_pages = ws_pages + 4, .stack_pages = 4});
-  kernel.SwitchTo(task);
-  const EffAddr heap(kUserDataBase);
-  const uint32_t count = ws_pages * kPageSize / stride;
-  // Fault the set in with stores (installs writable+changed PTEs) so the timed passes
-  // measure steady-state translation, not demand paging.
-  kernel.UserTouchRun(heap, stride, count, AccessKind::kStore);
-  const HwCounters before = system.counters();
-  const auto start = std::chrono::steady_clock::now();
-  for (int p = 0; p < passes; ++p) {
-    if (batched) {
-      kernel.UserTouchRun(heap, stride, count, AccessKind::kLoad);
-    } else {
-      for (uint32_t i = 0; i < count; ++i) {
-        kernel.UserTouch(heap + i * stride, AccessKind::kLoad);
-      }
-    }
-  }
-  StreamStats stats;
-  stats.host_seconds = Seconds(std::chrono::steady_clock::now() - start);
-  const HwCounters d = system.counters().Diff(before);
-  stats.sim_accesses = d.itlb_accesses + d.dtlb_accesses + d.bat_translations;
-  stats.sim_cycles = d.cycles;
-  stats.span_runs = system.mmu().span_runs();
-  stats.span_accesses = system.mmu().span_accesses();
-  return stats;
-}
-
 int Main() {
   const bool quick = QuickMode();
   // Full-mode runs are sized so one simulation takes a few hundred host milliseconds —
   // short windows drown in scheduler noise on a shared host.
   const uint32_t units = quick ? 2 : 48;
-  const int reps = quick ? 1 : 5;
   BenchReport::Global().SetName("host_throughput");
   BenchReport::Global().SetMeta("workload", "kernel compile");
   BenchReport::Global().SetMeta("strategies", "604 hw-walk, 603 sw-htab, 603 direct");
@@ -175,55 +122,7 @@ int Main() {
   BenchReport::Global().Add("sweep_threads", runner.threads(), "");
   BenchReport::Global().Add("parallel_speedup", parallel_speedup, "x");
 
-  Headline("Batched translation spans: page-grained runs vs per-access touches");
-  std::printf("best of %d host-timed runs per side\n\n", reps);
-  const uint32_t ws_pages = quick ? 256 : 1024;  // 1 MB / 4 MB resident working set
-  TextTable span_table(
-      {"strategy", "stride", "Maccess/s per-access", "Maccess/s batched", "span speedup",
-       "accesses/span"});
-  bool spans_identical = true;
-  double best_batched_maccess = 0;
-  for (const Strategy& strategy :
-       {strategies[1] /* 604 optimized */, strategies[3] /* 603 direct */}) {
-    for (const uint32_t stride : {4u, 32u}) {
-      // Size passes so the batched side runs a few hundred host ms in full mode.
-      const int passes = quick ? 2 : static_cast<int>(stride == 4 ? 24 : 96);
-      StreamStats single;
-      StreamStats span;
-      for (int r = 0; r < reps; ++r) {
-        const StreamStats s = RunStream(strategy, ws_pages, stride, passes, false);
-        const StreamStats b = RunStream(strategy, ws_pages, stride, passes, true);
-        if (r == 0 || s.host_seconds < single.host_seconds) single = s;
-        if (r == 0 || b.host_seconds < span.host_seconds) span = b;
-      }
-      spans_identical = spans_identical && single.sim_accesses == span.sim_accesses &&
-                        single.sim_cycles == span.sim_cycles;
-      const double m_single =
-          static_cast<double>(single.sim_accesses) / single.host_seconds / 1e6;
-      const double m_span = static_cast<double>(span.sim_accesses) / span.host_seconds / 1e6;
-      if (m_span > best_batched_maccess) best_batched_maccess = m_span;
-      const double per_span =
-          span.span_runs == 0 ? 0.0
-                              : static_cast<double>(span.span_accesses) /
-                                    static_cast<double>(span.span_runs);
-      span_table.AddRow({strategy.name, std::to_string(stride), TextTable::Num(m_single, 2),
-                         TextTable::Num(m_span, 2),
-                         TextTable::Num(m_span / m_single, 2) + "x",
-                         TextTable::Num(per_span, 1)});
-      const std::string key =
-          std::string(strategy.name) + ".stride" + std::to_string(stride);
-      BenchReport::Global().Add(key + ".batched_accesses_per_sec", m_span * 1e6, "1/s");
-      BenchReport::Global().Add(key + ".span_speedup", m_span / m_single, "x");
-    }
-  }
-  std::printf("%s\n", span_table.ToString().c_str());
-  std::printf("batched runs simulation-invisible (cycles+accesses identical): %s\n",
-              spans_identical ? "HOLDS" : "FAILS");
-  std::printf("best batched throughput: %.1f Maccess/s\n", best_batched_maccess);
-  BenchReport::Global().Add("batched_best_accesses_per_sec", best_batched_maccess * 1e6,
-                            "1/s");
-
-  return spans_identical && pooled_identical ? 0 : 1;
+  return pooled_identical ? 0 : 1;
 }
 
 }  // namespace

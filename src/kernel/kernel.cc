@@ -930,18 +930,20 @@ void Kernel::PipeReadBlocking(uint32_t pipe_id, EffAddr user_dst, uint32_t lengt
 // ---- user-mode execution ----
 
 void Kernel::UserTouch(EffAddr ea, AccessKind kind) {
-  Task& current = CurrentTask();
+  // The task is looked up only when a fault needs it: the hit path is one Mmu::Access.
+  PPCMM_CHECK_MSG(current_.value != 0, "no current task");
   for (uint32_t attempt = 0; attempt < 8; ++attempt) {
     switch (mmu_->Access(ea, kind)) {
       case AccessOutcome::kOk:
         return;
       case AccessOutcome::kPageFault: {
         const Cycles fault_start = machine_.Now();
-        HandlePageFault(current, ea, kind);
+        HandlePageFault(CurrentTask(), ea, kind);
         machine_.RecordLatency(LatencyProbe::kPageFault, fault_start);
         break;
       }
       case AccessOutcome::kProtectionFault: {
+        Task& current = CurrentTask();
         const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
         PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
                         "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
@@ -957,45 +959,8 @@ void Kernel::UserTouch(EffAddr ea, AccessKind kind) {
 
 void Kernel::UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
   PPCMM_CHECK(stride > 0);
-  Task& current = CurrentTask();
-  uint32_t done = 0;
-  uint32_t attempts = 0;  // faults taken at the current access without progress
-  while (done < count) {
-    AccessOutcome outcome = AccessOutcome::kOk;
-    const uint32_t n =
-        mmu_->AccessRun(start + done * stride, stride, count - done, kind, &outcome);
-    done += n;
-    if (done >= count) {
-      return;
-    }
-    if (n > 0) {
-      attempts = 0;  // progress: the convergence bound is per faulting access
-    }
-    // The run stopped on a fault at access `done`; repair exactly as UserTouch would and
-    // resume the run from the faulting access.
-    const EffAddr ea = start + done * stride;
-    switch (outcome) {
-      case AccessOutcome::kOk:
-        PPCMM_CHECK_MSG(false, "AccessRun stopped short without a fault");
-        break;
-      case AccessOutcome::kPageFault: {
-        const Cycles fault_start = machine_.Now();
-        HandlePageFault(current, ea, kind);
-        machine_.RecordLatency(LatencyProbe::kPageFault, fault_start);
-        break;
-      }
-      case AccessOutcome::kProtectionFault: {
-        const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
-        PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
-                        "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
-        const Cycles fault_start = machine_.Now();
-        HandleCowFault(current, ea);
-        machine_.RecordLatency(LatencyProbe::kCowFault, fault_start);
-        break;
-      }
-    }
-    ++attempts;
-    PPCMM_CHECK_MSG(attempts < 8, "fault loop did not converge at 0x" << std::hex << ea.value);
+  for (uint32_t i = 0; i < count; ++i) {
+    UserTouch(start + i * stride, kind);
   }
 }
 
@@ -1152,13 +1117,7 @@ void Kernel::HandlePageFault(Task& task, EffAddr ea, AccessKind kind) {
     if (vma->writable) {
       // Private writable file mapping: give the task its own copy.
       const uint32_t frame = mem_.GetFreePage();
-      for (uint32_t offset = 0; offset < kPageSize; offset += machine_.config().dcache.line_bytes) {
-        machine_.TouchData(PhysAddr::FromFrame(cache_frame, offset), /*is_write=*/false);
-        machine_.TouchData(PhysAddr::FromFrame(frame, offset), /*is_write=*/true);
-        machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
-      }
-      machine_.memory().Copy(PhysAddr::FromFrame(frame), PhysAddr::FromFrame(cache_frame),
-                             kPageSize);
+      CopyFrameCharged(frame, cache_frame);
       pte.frame = frame;
       pte.writable = true;
     } else {
@@ -1204,15 +1163,8 @@ void Kernel::HandleCowFault(Task& task, EffAddr ea) {
     const uint32_t frame = mem_.GetFreePage();
     {
       CycleScope copy_scope(machine_, AttrCause::kCowCopy);
-      for (uint32_t offset = 0; offset < kPageSize;
-           offset += machine_.config().dcache.line_bytes) {
-        machine_.TouchData(PhysAddr::FromFrame(pte->frame, offset), /*is_write=*/false);
-        machine_.TouchData(PhysAddr::FromFrame(frame, offset), /*is_write=*/true);
-        machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
-      }
+      CopyFrameCharged(frame, pte->frame);
     }
-    machine_.memory().Copy(PhysAddr::FromFrame(frame), PhysAddr::FromFrame(pte->frame),
-                           kPageSize);
     allocator_.DecRef(pte->frame);
     mm.page_table->Update(
         ea,
@@ -1230,8 +1182,20 @@ void Kernel::HandleCowFault(Task& task, EffAddr ea) {
 
 // ---- plumbing ----
 
+void Kernel::CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame) {
+  for (uint32_t offset = 0; offset < kPageSize; offset += machine_.config().dcache.line_bytes) {
+    machine_.TouchData(PhysAddr::FromFrame(src_frame, offset), /*is_write=*/false);
+    machine_.TouchData(PhysAddr::FromFrame(dst_frame, offset), /*is_write=*/true);
+    machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
+  }
+  machine_.memory().Copy(PhysAddr::FromFrame(dst_frame), PhysAddr::FromFrame(src_frame),
+                         kPageSize);
+}
+
 void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user) {
   const uint32_t line = machine_.config().dcache.line_bytes;
+  const AccessKind kind = to_user ? AccessKind::kStore : AccessKind::kLoad;
+  uint32_t user_frame = 0;  // the current user page's frame
   uint32_t done = 0;
   while (done < length) {
     const EffAddr user_ea = user + done;
@@ -1239,18 +1203,25 @@ void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool
     const uint32_t chunk = std::min({line - (user_ea.value % line), length - done,
                                      page_remaining});
     // The user side of the copy (faulting the page in if needed) and the kernel side.
-    UserTouch(user_ea, to_user ? AccessKind::kStore : AccessKind::kLoad);
+    UserTouch(user_ea, kind);
     machine_.TouchData(kernel + done, /*is_write=*/!to_user);
     machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
 
-    // Functionally move the bytes so data-integrity tests hold end to end.
-    const std::optional<PhysAddr> user_pa =
-        mmu_->Probe(user_ea, to_user ? AccessKind::kStore : AccessKind::kLoad);
-    PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
+    // Functionally move the bytes so data-integrity tests hold end to end. Each user page
+    // is probed once, after its first touch, so a COW break that touch took is in the PTE.
+    // The bytes still move line by line: when the user page is a read-only mapping of the
+    // kernel side's page-cache page the two ranges alias, and a whole-page copy would
+    // overlap where line-sized pieces do not.
+    if (done == 0 || user_ea.PageOffset() == 0) {
+      const std::optional<PhysAddr> probed = mmu_->Probe(user_ea, kind);
+      PPCMM_CHECK_MSG(probed.has_value(), "user page vanished mid-copy");
+      user_frame = probed->PageFrame();
+    }
+    const PhysAddr user_pa = PhysAddr::FromFrame(user_frame, user_ea.PageOffset());
     if (to_user) {
-      machine_.memory().Copy(*user_pa, kernel + done, chunk);
+      machine_.memory().Copy(user_pa, kernel + done, chunk);
     } else {
-      machine_.memory().Copy(kernel + done, *user_pa, chunk);
+      machine_.memory().Copy(kernel + done, user_pa, chunk);
     }
     done += chunk;
   }

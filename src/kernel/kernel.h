@@ -221,10 +221,8 @@ class Kernel : public PteBackingSource {
 
   // One user memory reference at `ea`, faulting pages in as needed.
   void UserTouch(EffAddr ea, AccessKind kind);
-  // A page-grained access run: `count` references starting at `start`, each `stride`
-  // bytes after the previous, faulting pages in mid-run as needed. Bit-identical to
-  // calling UserTouch per access; the batched form lets the MMU replay whole translation
-  // spans instead of re-validating every access (the workload-facing batching API).
+  // An access stream: `count` references starting at `start`, each `stride` bytes after
+  // the previous, one UserTouch each (the workload-facing description of a strided run).
   void UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, AccessKind kind);
   // A strided run of user references (convenience for working-set loops).
   void UserTouchRange(EffAddr start, uint32_t bytes, uint32_t stride, AccessKind kind);
@@ -306,8 +304,12 @@ class Kernel : public PteBackingSource {
   void InjectZombieFlood();
   void HandlePageFault(Task& task, EffAddr ea, AccessKind kind);
   void HandleCowFault(Task& task, EffAddr ea);
-  // Copies between a user range and a kernel physical range, line by line.
+  // Copies between a user range and a kernel physical range, line by line, probing each
+  // user page's frame once.
   void CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user);
+  // Copies frame `src_frame` into `dst_frame`, charging a read, a write and the copy cost per
+  // cache line into the caller's CycleScope (COW breaks, private file pages).
+  void CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame);
   // Unmaps PTEs and releases frames in a page range (no flushing; callers flush first).
   void ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count);
   // Drops one reference to a frame unless it belongs to an I/O aperture.

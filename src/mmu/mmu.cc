@@ -120,69 +120,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
   return AccessOutcome::kOk;
 }
 
-uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
-                        AccessOutcome* outcome) {
-  *outcome = AccessOutcome::kOk;
-  const bool is_ifetch = IsInstruction(kind);
-  const bool is_write = IsWrite(kind);
-  HwCounters& counters = machine_.counters();
-  uint32_t done = 0;
-  while (done < count) {
-    const EffAddr first = ea + done * stride;
-    const AccessOutcome result = Access(first, kind);
-    if (result != AccessOutcome::kOk) {
-      *outcome = result;
-      return done;
-    }
-    ++done;
-    // The rest of the run inside this page. An armed injector polls on every access, so
-    // only the per-access path may serve it.
-    const uint32_t n = std::min(count - done, (kPageSize - 1 - first.PageOffset()) / stride);
-    if (n == 0 || injector_ != nullptr) {
-      continue;
-    }
-    // Span validity, read once from live state. Nothing the access above or the replay
-    // below does (cache state, counters, LRU ticks) writes a BAT, a segment register or a
-    // TLB tag, so what this page resolves to now is what each remaining access would see.
-    const EffAddr next = first + stride;
-    const BatArray& bats = is_ifetch ? ibats_ : dbats_;
-    PhysAddr pa;
-    bool cached = true;
-    if (const std::optional<BatHit> hit = bats.Translate(next, next.IsKernel());
-        hit.has_value()) {
-      // BAT blocks are page-aligned linear maps: the whole in-page run lands in one frame.
-      counters.bat_translations += n;
-      pa = hit->pa;
-      cached = !hit->cache_inhibited;
-    } else {
-      Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
-      TlbEntry* entry = tlb.Find(bank_->segments.Resolve(next));
-      // The write gate: a store replays only through an entry with no pending protection
-      // fault or C-bit work; anything else takes the per-access path.
-      if (entry == nullptr || (is_write && !(entry->writable && entry->changed))) {
-        continue;
-      }
-      if (is_ifetch) {
-        counters.itlb_accesses += n;
-      } else {
-        counters.dtlb_accesses += n;
-      }
-      tlb.TouchLruRun(entry, n);
-      pa = PhysAddr::FromFrame(entry->frame, next.PageOffset());
-      cached = !entry->cache_inhibited;
-    }
-    ++span_runs_;
-    span_accesses_ += n;
-    if (is_ifetch) {
-      machine_.TouchInstructionRun(pa, stride, n, cached);
-    } else {
-      machine_.TouchDataRun(pa, stride, n, is_write, cached);
-    }
-    done += n;
-  }
-  return done;
-}
-
 std::optional<PhysAddr> Mmu::Probe(EffAddr ea, AccessKind kind) const {
   const bool supervisor = ea.IsKernel();
   const BatArray& bats = IsInstruction(kind) ? ibats_ : dbats_;

@@ -128,21 +128,6 @@ class Mmu {
   // (kernel fault path) repairs the PTE tree and retries.
   AccessOutcome Access(EffAddr ea, AccessKind kind);
 
-  // Batched Access: up to `count` references starting at `ea`, each `stride` bytes after
-  // the previous, bit-identical to `count` sequential Access() calls. Returns how many
-  // accesses completed; on a fault `*outcome` names it and the caller resumes at
-  // ea + done*stride after repairing the PTE tree (the kernel fault loop).
-  //
-  // The speed comes from *translation spans*: each page's first access goes through
-  // Access(); when it succeeds, the rest of the run inside that page is judged against the
-  // live BAT/TLB state, read once. A BAT hit, or a resident TLB entry for the page with no
-  // pending protection or C-bit work, proves every remaining in-page access would replay
-  // the identical lookup, so the run is charged at once — one counter add, one LRU tick
-  // advance, one batched payload charge. Nothing is remembered across calls. An armed
-  // fault injector (which must poll on every access) degrades to the per-access path.
-  uint32_t AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
-                     AccessOutcome* outcome);
-
   // Translation without the final payload cache access (probe used by tests/instrumentation;
   // charges nothing and changes nothing).
   std::optional<PhysAddr> Probe(EffAddr ea, AccessKind kind) const;
@@ -197,11 +182,6 @@ class Mmu {
     return DataMemCharger(machine_, policy_.cache_page_tables);
   }
 
-  // Translation-span statistics (host-side, not HwCounters): how many AccessRun page runs
-  // were charged at once, and how many accesses they covered.
-  uint64_t span_runs() const { return span_runs_; }
-  uint64_t span_accesses() const { return span_accesses_; }
-
  private:
   // Per-CPU MMU state (see the SMP section above).
   struct CpuBank {
@@ -231,9 +211,6 @@ class Mmu {
   const VsidOracle* oracle_ = nullptr;
   AllLiveVsidOracle all_live_;
   FaultInjector* injector_ = nullptr;
-
-  uint64_t span_runs_ = 0;
-  uint64_t span_accesses_ = 0;
 };
 
 }  // namespace ppcmm

@@ -51,32 +51,15 @@ class Tlb {
   // Inline: this sits on the translation path of every non-BAT memory reference.
   TlbEntry* LookupPtr(VirtPage vp) {
     ++tick_;
-    TlbEntry* entry = Find(vp);
-    if (entry != nullptr) {
-      entry->last_used = tick_;
-    }
-    return entry;
-  }
-
-  // The resident entry for `vp`, or nullptr, with no LRU side effect. AccessRun reads span
-  // validity through it before it commits any charge.
-  TlbEntry* Find(VirtPage vp) {
     TlbEntry* ways = SetBase(SetIndex(vp.page_index));
     for (uint32_t w = 0; w < associativity_; ++w) {
       TlbEntry& entry = ways[w];
       if (entry.valid && entry.vsid == vp.vsid && entry.page_index == vp.page_index) {
+        entry.last_used = tick_;
         return &entry;
       }
     }
     return nullptr;
-  }
-
-  // `n` back-to-back hits on the same resident entry, collapsed: bit-identical to `n`
-  // LookupPtr hits on it (the tick advances by n and the entry ends up most recent).
-  // Translation-span replay only.
-  void TouchLruRun(TlbEntry* entry, uint32_t n) {
-    tick_ += n;
-    entry->last_used = tick_;
   }
 
   // Installs a translation, replacing an invalid way or the LRU way of the set.

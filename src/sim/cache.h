@@ -63,8 +63,8 @@ class Cache {
   // (the returned outcome); the remaining n-1 hit the line the first one left resident, so
   // they reduce to counter adds, and the line's LRU stamp is the tick of the last access.
   // Callers keep the run contract of Machine::TouchDataRun: strictly increasing addresses,
-  // each line visited in one contiguous group (span replay, HTAB slot scans and page
-  // zeroing rely on it).
+  // each line visited in one contiguous group (HTAB slot scans and page zeroing rely on
+  // it).
   CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
     stats_.accesses += n;
     tick_ += n;

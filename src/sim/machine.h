@@ -125,27 +125,33 @@ class Machine {
 
   // Charges `count` data references starting at `pa`, each `stride` bytes after the
   // previous — bit-identical to `count` TouchData calls. The contract: addresses strictly
-  // increase, so each cache line is visited in one contiguous group. The first access of a
-  // group is the only one that can miss, the rest collapse inside AccessLineRun, and the
-  // cycles accumulate into a single AddCycles (the ledger charges the same total into the
-  // same open cell). Translation-span replay, HTAB slot scans (DataMemCharger::ChargeRun)
-  // and page zeroing all rely on it.
+  // increase, so each cache line is visited in one contiguous group. The run is walked one
+  // line group (the accesses left in the current line) at a time: only a group's first
+  // access can miss, the rest collapse inside AccessLineRun as 1-cycle hits, and the cycles
+  // accumulate into a single AddCycles (the ledger charges the same total into the same
+  // open cell). HTAB slot scans (DataMemCharger::ChargeRun) and page zeroing rely on it.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
       return;
     }
-    AddCycles(Cycles(CachedRunCycles(*dcache_cur_, pa, stride, count, is_write)));
-  }
-
-  // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
-  void TouchInstructionRun(PhysAddr pa, uint32_t stride, uint32_t count, bool cached = true) {
-    if (!cached) {
-      AddCycles(icache_cur_->AccessUncachedRun(false, count));
-      return;
+    const uint32_t line = dcache_cur_->geometry().line_bytes;
+    uint64_t cycles = 0;
+    uint32_t i = 0;
+    while (i < count) {
+      const PhysAddr cur(pa.value + i * stride);
+      uint32_t reps = 1;
+      if (stride < line) {
+        const uint32_t line_left = line - (cur.value & (line - 1));
+        reps = std::min(count - i, (line_left - 1) / stride + 1);
+      }
+      const CacheAccessOutcome l1 = dcache_cur_->AccessLineRun(cur, is_write, reps);
+      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
+      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
+      i += reps;
     }
-    AddCycles(Cycles(CachedRunCycles(*icache_cur_, pa, stride, count, false)));
+    AddCycles(Cycles(cycles));
   }
 
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
@@ -158,29 +164,6 @@ class Machine {
  private:
   // Charges an L1 miss through the L2 (if present) or memory; returns the cycles.
   Cycles MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
-
-  // The cached body of TouchDataRun / TouchInstructionRun: walks the run one line group at
-  // a time and returns the cycles. A group is the accesses left in the current line, so
-  // only its first access can miss and the rest are 1-cycle hits.
-  uint64_t CachedRunCycles(Cache& cache, PhysAddr pa, uint32_t stride, uint32_t count,
-                           bool is_write) {
-    const uint32_t line = cache.geometry().line_bytes;
-    uint64_t cycles = 0;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        reps = std::min(count - i, (line_left - 1) / stride + 1);
-      }
-      const CacheAccessOutcome l1 = cache.AccessLineRun(cur, is_write, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
-      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
-      i += reps;
-    }
-    return cycles;
-  }
 
   MachineConfig config_;
   PhysicalMemory memory_;

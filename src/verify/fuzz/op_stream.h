@@ -34,7 +34,7 @@ enum class FuzzOpKind : uint8_t {
   kFbTouch,       // load/store in the framebuffer aperture (BAT path when active)
   kFbBatToggle,   // program/clear the framebuffer DBAT mid-stream (BAT rewrite)
   kIdle,          // idle ticks: zombie reclaim + page zeroing
-  kTouchRun,      // batched multi-page access run (UserTouchRun), crossing fault boundaries
+  kTouchRun,      // strided multi-page access run (UserTouchRun), crossing fault boundaries
   kCpuSwitch,     // SMP: hop the execution spotlight to another CPU (weight 0 in the
                   // standard table — GenerateStream output is unchanged; GenerateSmpStream
                   // mixes it in)

@@ -221,7 +221,7 @@ void ReferenceMmu::PlanTouchRun(const FuzzOp& op, uint32_t op_index, ExpectedSte
 
   // Page-granular architectural effects, applied in run order: absent pages demand-fault
   // as the run first enters them; COW pages break mid-run on store runs. This is exactly
-  // the "crossing flush/COW boundaries mid-run" shape the batched path must survive.
+  // the "crossing flush/COW boundaries mid-run" shape a run must survive.
   const bool is_store = step.access == AccessKind::kStore;
   for (uint32_t p = first; p < first + pages; ++p) {
     auto it = cur.pages.find(p);

@@ -2,8 +2,8 @@
 //
 //   * every optimization preset survives a 10k-op differential run at a fixed seed with
 //     zero divergences (the reload strategy rotates with the preset index so the suite
-//     covers all three), and every preset executes batched touch runs, so translation
-//     spans stay checked in lockstep against the oracle;
+//     covers all three), and every preset executes strided touch runs, so UserTouchRun
+//     stays checked in lockstep against the oracle;
 //   * a planted kernel bug (eager page flush skips its tlbie) is detected and the
 //     minimizer shrinks the failing stream to a handful of ops that still reproduce it;
 //   * streams serialize to replay files and back losslessly, and generation is

@@ -94,7 +94,7 @@ TEST(MmuLintFixtures, DeterminismRulesFireAtStagedLines) {
 
 TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
   // hash_table.cc's Grow() uses `new` outside any registered hot function and must stay
-  // quiet; the missing Tlb::Find must be reported so the rule table cannot rot.
+  // quiet; the missing Machine::TouchDataRun must be reported so the rule table cannot rot.
   ExpectExactly(RunFixture("hotpath", "HOT"),
                 {
                     {"src/mmu/bat.h", 5, "HOT-ATTR-026"},
@@ -103,20 +103,9 @@ TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
                     {"src/mmu/mmu.cc", 12, "HOT-LOCK-022"},
                     {"src/mmu/mmu.cc", 18, "HOT-IO-023"},
                     {"src/mmu/mmu.cc", 21, "HOT-ALLOC-020"},
-                    {"src/mmu/tlb.h", 1, "HOT-MISSING-025"},
-                    {"src/mmu/tlb.h", 5, "HOT-VIRT-024"},
+                    {"src/mmu/tlb.h", 4, "HOT-VIRT-024"},
                     {"src/sim/cache.h", 5, "HOT-ALLOC-020"},
-                });
-}
-
-TEST(MmuLintFixtures, SpanValidityRulesFireAtStagedLines) {
-  // AccessRun in the hotpath fixture stages both forbidden span-validity inputs: pointer
-  // identity (reinterpret_cast) and wall-clock time (clock_gettime). The registered-but-
-  // clean run bodies must stay quiet.
-  ExpectExactly(RunFixture("hotpath", "SPAN"),
-                {
-                    {"src/mmu/mmu.cc", 23, "SPAN-GEN-027"},
-                    {"src/mmu/mmu.cc", 25, "SPAN-GEN-027"},
+                    {"src/sim/machine.h", 1, "HOT-MISSING-025"},
                 });
 }
 

@@ -4,5 +4,4 @@ struct CleanMachine {
   unsigned TouchData(unsigned ea) const { return ea + 1; }
   unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
-  unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
 };

@@ -1,7 +1,7 @@
 // Fixture: clean hot-path bodies — TouchData/TouchInstruction must produce nothing.
+// TouchDataRun is deliberately missing so HOT-MISSING-025 proves the rule table cannot rot
+// silently.
 struct FixtureMachine {
   unsigned TouchData(unsigned ea) const { return ea + 1; }
-  unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
-  unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
 };

@@ -133,41 +133,6 @@ void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagn
     }
     CheckBody(config, it->second, fn, begin, end, out);
   }
-
-  // SPAN-GEN-027: the registered span-validity body must derive validity from live
-  // BAT/TLB state alone — no wall-clock reads, no pointer identity smuggled in through
-  // casts. Missing bodies rot the table exactly like hot functions, so they fall
-  // under HOT-MISSING-025 too.
-  for (const HotFunction& fn : SpanValidityFunctions()) {
-    const std::string label = fn.qualifier + "::" + fn.name;
-    auto it = tree.files.find(fn.file);
-    const auto [begin, end] =
-        it != tree.files.end()
-            ? FindBody(it->second, fn.name)
-            : std::pair<size_t, size_t>{std::string::npos, std::string::npos};
-    if (begin == std::string::npos) {
-      if (RuleEnabled(config, "HOT-MISSING-025")) {
-        out->push_back(
-            {fn.file, 1, "HOT-MISSING-025",
-             "span-validity rule table lists " + label +
-                 ", but no definition with a body was found in " + fn.file,
-             "update SpanValidityFunctions() in tools/mmu-lint/rules.cc to the new location"});
-      }
-      continue;
-    }
-    const SourceFile& sf = it->second;
-    const std::string body = sf.code.substr(begin, end - begin);
-    for (const BannedIdent& ban : SpanValidityBans()) {
-      if (!RuleEnabled(config, ban.id)) {
-        continue;
-      }
-      for (size_t pos : FindIdentifier(body, ban.ident)) {
-        Emit(sf, LineOf(sf.code, begin + pos), ban.id,
-             ban.ident + " in span-validity function " + label + ": " + ban.why, ban.fix,
-             out);
-      }
-    }
-  }
 }
 
 }  // namespace mmulint

@@ -87,56 +87,18 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchData", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchDataRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstruction", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncachedRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "LookupPtr", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "Find", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
-      {"src/mmu/mmu.cc", "Mmu", "AccessRun", {"WalkPte"}},
       {"src/mmu/mmu.cc", "Mmu", "Reload", {}},
       {"src/mmu/mmu.cc", "Mmu", "SoftwareRefill", {}},
       {"src/mmu/mmu.cc", "Mmu", "InstallTlbEntry", {"WalkPte", "MarkPteDirty"}},
   };
   return kHot;
-}
-
-const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The one place a translation span is judged valid: AccessRun's read of the live
-  // BAT/TLB state. banned_virtual is unused here (AccessRun's PTE-tree ban lives in its
-  // HotFunctions() entry).
-  static const std::vector<HotFunction> kSpan = {
-      {"src/mmu/mmu.cc", "Mmu", "AccessRun", {}},
-  };
-  return kSpan;
-}
-
-const std::vector<BannedIdent>& SpanValidityBans() {
-  static const std::vector<BannedIdent> kBans = {
-      {"SPAN-GEN-027", "reinterpret_cast", "pointer identity laundered into span validity",
-       "read validity from the live BAT/TLB state, never from addresses"},
-      {"SPAN-GEN-027", "uintptr_t", "pointer identity laundered into span validity",
-       "read validity from the live BAT/TLB state, never from addresses"},
-      {"SPAN-GEN-027", "intptr_t", "pointer identity laundered into span validity",
-       "read validity from the live BAT/TLB state, never from addresses"},
-      {"SPAN-GEN-027", "system_clock", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-      {"SPAN-GEN-027", "steady_clock", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-      {"SPAN-GEN-027", "high_resolution_clock", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-      {"SPAN-GEN-027", "clock_gettime", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-      {"SPAN-GEN-027", "gettimeofday", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-      {"SPAN-GEN-027", "timespec_get", "wall-clock time in span validity",
-       "spans are judged against live BAT/TLB state, not time"},
-  };
-  return kBans;
 }
 
 const std::vector<BannedIdent>& HotPathBans() {
@@ -417,9 +379,6 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
                           "table says it does"},
       {"HOT-ATTR-026", "no direct MetricsRegistry/BenchReport/cycle-ledger access in hot "
                        "headers; attribution goes through CycleScope only"},
-      {"SPAN-GEN-027", "translation-span validity comes from live BAT/TLB state only — "
-                       "no wall-clock reads or pointer-identity laundering in the "
-                       "registered span-validity body"},
       {"SMP-IPI-028", "no direct cross-CPU TLB mutation (Mmu::ShootdownInvalidate*) outside "
                       "the IPI shootdown path in src/kernel/flush.cc"},
       {"FLUSH-CONTRACT-029", "every HTAB/PTE/segment mutation must reach a flush primitive "

@@ -73,14 +73,6 @@ const std::vector<HotFunction>& HotFunctions();
 // Globally banned inside every hot function body, with the rule that fires.
 const std::vector<BannedIdent>& HotPathBans();
 
-// SPAN-GEN-027: translation-span validity comes from live BAT/TLB state only. The
-// registered span-validity body (Mmu::AccessRun, which reads that state once per page per
-// call) must not consult wall-clock time or launder pointer identity into validity state —
-// a recycled TlbEntry at the same address must never pass for the one it replaced.
-// A missing registered body falls under HOT-MISSING-025 like the hot functions.
-const std::vector<HotFunction>& SpanValidityFunctions();
-const std::vector<BannedIdent>& SpanValidityBans();
-
 // HOT-ATTR-026: hot-path headers (the LAYER-HOT-OBS-003 root set minus machine.h, which
 // owns the ledger and defines CycleScope) must not reach observability state directly —
 // no MetricsRegistry/BenchReport construction, no CycleLedger reference, no attr()
