@@ -1,11 +1,13 @@
 // Kernel-compile simulation: the paper's favourite macro-benchmark, runnable standalone.
 //
 //   $ ./kernel_compile_sim [baseline|all|bat|scatter|handlers|lazy|reclaim|uncached_pt|zero]
-//                          [cpu=603|604] [mhz=<n>] [units=<n>]
+//                          [cpu=603|604] [mhz=<n>] [units=<n>] [--trace]
 //
 // Runs the scaled kernel build under the chosen optimization configuration and prints the
 // full hardware-monitor picture: wall-clock, TLB/HTAB behaviour, cache statistics, and the
-// derived rates the paper reports.
+// derived rates the paper reports. --trace turns observation on (attribution, the event
+// ring, latency probes) and ends with the ring's newest 32 records: point events and
+// scope closes, each with its cycle, CPU and task.
 
 #include <cstdio>
 #include <cstring>
@@ -13,6 +15,7 @@
 
 #include "src/core/stats.h"
 #include "src/core/system.h"
+#include "src/obs/attr/attr_export.h"
 #include "src/workloads/kernel_compile.h"
 
 namespace {
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
 
   System system(machine, opt);
   if (trace) {
-    system.machine().trace().Enable();
+    system.machine().attr().SetEnabled(true);
   }
   std::printf("machine: %s\n", machine.name.c_str());
   std::printf("config:  %s (%s)\n", config_name.c_str(), opt.Describe().c_str());
@@ -94,9 +97,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dcache.uncached_accesses));
 
   if (trace) {
-    TraceBuffer& tb = system.machine().trace();
-    std::printf("\n--- last 32 trace events (of %llu recorded) ---\n%s",
-                static_cast<unsigned long long>(tb.TotalRecorded()), tb.Dump(32).c_str());
+    std::printf("\n%s", RingDump(system.machine().attr(), "kernel compile", 32).c_str());
   }
   return 0;
 }

@@ -5,7 +5,11 @@
 //           [--trace-out FILE] [--metrics-out FILE]
 //
 // Exit status 0 on a clean run, 1 on an auditor violation (the report printed to stderr
-// contains everything needed to replay the failure: seed, strategy, config, op trace).
+// contains everything needed to replay the failure: seed, strategy, config, op trace, and
+// the newest records of the event ring with the CPU and task on each).
+//
+// --trace-out FILE writes the event ring as Perfetto JSON: point events as instants and
+// attribution scopes as slices, on one track per task, each carrying its CPU.
 
 #include <cstdint>
 #include <cstdio>

@@ -290,7 +290,6 @@ void Kernel::SwitchTo(TaskId id) {
     current_ = id;
     cpu_current_[smp_.current_cpu] = id;
     smp_.idle[smp_.current_cpu] = 0;
-    machine_.trace().SetCurrentTask(id.value);
     machine_.attr().SetCurrentTask(id.value);
   }
   if (tick_hook_) {
@@ -314,7 +313,6 @@ void Kernel::SwitchCpu(uint32_t cpu) {
   machine_.SetCurrentCpu(cpu);
   mmu_->SetCurrentCpu(cpu);
   current_ = cpu_current_[cpu];
-  machine_.trace().SetCurrentTask(current_.value);
   machine_.attr().SetCurrentTask(current_.value);
   // Any whole-TLB flush this CPU skipped while idle runs now, before it touches anything.
   flusher_.RunDeferredFlush(cpu);
@@ -470,7 +468,6 @@ void Kernel::Exit(TaskId id) {
       smp_.idle[cpu] = 1;
       if (cpu == smp_.current_cpu) {
         current_ = TaskId{0};
-        machine_.trace().SetCurrentTask(0);
         machine_.attr().SetCurrentTask(0);
       }
     }

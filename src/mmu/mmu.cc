@@ -180,7 +180,7 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
         return info;
       }
       ++counters.htab_misses;
-      machine_.probes().RecordHashMiss(htab_.PrimaryPteg(vp));
+      machine_.RecordHashMiss(htab_.PrimaryPteg(vp));
       machine_.Trace(TraceEvent::kHtabMiss, ea.EffPageNumber());
       // Hash-table miss interrupt into the software handler (§5: at least 91 cycles).
       machine_.AddCycles(Cycles(config.hash_miss_interrupt_cycles));
@@ -215,7 +215,7 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
         return info;
       }
       ++counters.htab_misses;
-      machine_.probes().RecordHashMiss(htab_.PrimaryPteg(vp));
+      machine_.RecordHashMiss(htab_.PrimaryPteg(vp));
       machine_.Trace(TraceEvent::kHtabMiss, ea.EffPageNumber());
       std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/true);
       if (info.has_value()) {

@@ -165,25 +165,29 @@ std::string AttrDiffReport(const std::string& label_a,
   return out;
 }
 
-std::string FlightRecorderDump(const CycleLedger& ledger, const std::string& context,
-                               size_t max_events) {
-  std::string out = "flight recorder: " + context + "\n";
-  const std::vector<AttrEvent> events = ledger.RecentEvents();
-  if (events.empty()) {
-    out += "  (no attributed events recorded; attribution was off or no scopes closed)\n";
+std::string RingDump(const CycleLedger& ledger, const std::string& context,
+                     size_t max_records) {
+  std::string out = "event ring: " + context + "\n";
+  const std::vector<TraceRecord> records = ledger.Records();
+  if (records.empty()) {
+    out += "  (no records; observation was off)\n";
     return out;
   }
-  const size_t start = events.size() > max_events ? events.size() - max_events : 0;
+  const size_t start = records.size() > max_records ? records.size() - max_records : 0;
   char line[192];
-  std::snprintf(line, sizeof(line),
-                "  last %zu of %" PRIu64 " attributed events (newest last):\n",
-                events.size() - start, ledger.events_recorded());
+  std::snprintf(line, sizeof(line), "  last %zu of %" PRIu64 " records (newest last):\n",
+                records.size() - start, ledger.TotalRecorded());
   out += line;
-  for (size_t i = start; i < events.size(); ++i) {
-    const AttrEvent& e = events[i];
-    std::snprintf(line, sizeof(line),
-                  "  @%-12" PRIu64 " cpu=%u task=%-4u depth=%u %-22s %8" PRIu64 " cycles\n",
-                  e.end_cycle, e.cpu, e.task, e.depth, AttrCauseName(e.cause), e.cycles);
+  for (size_t i = start; i < records.size(); ++i) {
+    const TraceRecord& r = records[i];
+    if (r.is_scope()) {
+      std::snprintf(line, sizeof(line),
+                    "  @%-12" PRIu64 " cpu=%u task=%-4u depth=%u %-22s %8" PRIu64 " cycles\n",
+                    r.cycle, r.cpu, r.task, r.depth, AttrCauseName(r.cause), r.cycles);
+    } else {
+      std::snprintf(line, sizeof(line), "  @%-12" PRIu64 " cpu=%u task=%-4u %-30s a=0x%x b=0x%x\n",
+                    r.cycle, r.cpu, r.task, TraceEventName(r.event), r.a, r.b);
+    }
     out += line;
   }
   return out;

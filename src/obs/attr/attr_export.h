@@ -1,6 +1,6 @@
 // Exporters for the cycle-attribution ledger (src/sim/attr.h): folded-stack flamegraph
-// text, a per-cause/per-task JSON table, cross-run diffing, the failure flight-recorder
-// dump, and BenchReport wiring. The ledger itself lives in the sim layer so hot headers
+// text, a per-cause/per-task JSON table, cross-run diffing, the ring dump, and BenchReport
+// wiring. The ledger itself lives in the sim layer so hot headers
 // stay obs-free; everything that formats or serializes it lives here.
 
 #ifndef PPCMM_SRC_OBS_ATTR_ATTR_EXPORT_H_
@@ -41,11 +41,11 @@ std::string AttrDiffReport(const std::string& label_a,
                            const std::string& label_b,
                            const std::map<std::string, uint64_t>& b);
 
-// The flight-recorder dump appended to failure reports: `context` (seed, preset, replay
-// pointer — whatever the harness knows) followed by the most recent attributed events,
-// newest last. Empty ledger -> a one-line "no attributed events" note.
-std::string FlightRecorderDump(const CycleLedger& ledger, const std::string& context,
-                               size_t max_events = 64);
+// The ledger ring as text, appended to failure reports: `context` (seed, preset, replay
+// pointer — whatever the harness knows) followed by the newest `max_records` records,
+// newest last, one per line with cycle, CPU and task. Empty ring -> a one-line note.
+std::string RingDump(const CycleLedger& ledger, const std::string& context,
+                     size_t max_records = 64);
 
 // Adds the attribution table to a BenchReport section "cycle attribution": one
 // "<prefix>.<path>" row per cause (tasks summed) plus "<prefix>.total".

@@ -103,7 +103,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snap.gauges.emplace_back("sys.itlb_miss_rate", stats.itlb_miss_rate);
   snap.gauges.emplace_back("sys.tlb_kernel_share", stats.tlb_kernel_share);
 
-  // Latency distributions (all zero while probes are disabled).
+  // Latency distributions (all zero while observation is off).
   const LatencyProbes& probes = machine.probes();
   for (uint32_t i = 0; i < kNumLatencyProbes; ++i) {
     const LatencyProbe probe = static_cast<LatencyProbe>(i);

@@ -35,7 +35,7 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
   std::set<uint32_t> tids{0};
   for (const TraceRecord& r : records) {
     tids.insert(r.task);
-    if (r.event == TraceEvent::kContextSwitch) {
+    if (!r.is_scope() && r.event == TraceEvent::kContextSwitch) {
       tids.insert(r.a);
       tids.insert(r.b);
     }
@@ -54,9 +54,24 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
 
   uint64_t flow_id = 0;
   for (const TraceRecord& r : records) {
-    const double ts = TsMicros(r.cycle, options.clock_mhz);
-
     JsonValue event = JsonValue::Object();
+    if (r.is_scope()) {
+      event.Set("name", AttrCauseName(r.cause));
+      event.Set("cat", "attr");
+      event.Set("ph", "X");
+      event.Set("ts", TsMicros(r.cycle - r.cycles, options.clock_mhz));
+      event.Set("dur", TsMicros(r.cycles, options.clock_mhz));
+      event.Set("pid", options.pid);
+      event.Set("tid", r.task);
+      JsonValue args = JsonValue::Object();
+      args.Set("cycles", r.cycles);
+      args.Set("depth", r.depth);
+      args.Set("cpu", r.cpu);
+      event.Set("args", std::move(args));
+      events.Append(std::move(event));
+      continue;
+    }
+    const double ts = TsMicros(r.cycle, options.clock_mhz);
     event.Set("name", TraceEventName(r.event));
     event.Set("cat", "mmu");
     event.Set("ph", "i");
@@ -68,12 +83,15 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
     args.Set("a", r.a);
     args.Set("b", r.b);
     args.Set("cycle", r.cycle);
+    args.Set("cpu", r.cpu);
     event.Set("args", std::move(args));
     events.Append(std::move(event));
 
     if (r.event == TraceEvent::kContextSwitch) {
       // Flow arrow from the outgoing task's track to the incoming one's.
       ++flow_id;
+      JsonValue cpu_args = JsonValue::Object();
+      cpu_args.Set("cpu", r.cpu);
       JsonValue start = JsonValue::Object();
       start.Set("name", "ctxsw");
       start.Set("cat", "sched");
@@ -82,6 +100,7 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
       start.Set("ts", ts);
       start.Set("pid", options.pid);
       start.Set("tid", r.a);
+      start.Set("args", cpu_args);
       events.Append(std::move(start));
 
       JsonValue finish = JsonValue::Object();
@@ -93,6 +112,7 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
       finish.Set("ts", ts);
       finish.Set("pid", options.pid);
       finish.Set("tid", r.b);
+      finish.Set("args", std::move(cpu_args));
       events.Append(std::move(finish));
     }
   }
@@ -103,9 +123,9 @@ JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
   return doc;
 }
 
-std::string PerfettoTraceString(const TraceBuffer& trace,
+std::string PerfettoTraceString(const CycleLedger& ledger,
                                 const PerfettoExportOptions& options) {
-  return PerfettoTraceJson(trace.Records(), options).Serialize();
+  return PerfettoTraceJson(ledger.Records(), options).Serialize();
 }
 
 }  // namespace ppcmm

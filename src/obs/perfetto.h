@@ -1,10 +1,12 @@
-// Chrome/Perfetto trace-event exporter for the TraceBuffer.
+// Chrome/Perfetto trace-event exporter for the cycle ledger's ring.
 //
 // Emits the JSON object format ({"traceEvents":[...]}) that https://ui.perfetto.dev and
-// chrome://tracing open directly. Each TraceRecord becomes a thread-scoped instant event on
-// the track of the task it was attributed to; context switches additionally emit a
-// flow-event pair ("s" on the outgoing task's track, "f" on the incoming one) so the
-// hand-off renders as an arrow. Timestamps are simulated microseconds (cycles / clock MHz).
+// chrome://tracing open directly, one event per record on the track of the task it was
+// stamped with: a point record becomes a thread-scoped instant event, a scope close a
+// complete ("X") slice spanning the scope. Context switches additionally emit a flow-event
+// pair ("s" on the outgoing task's track, "f" on the incoming one) so the hand-off renders
+// as an arrow. Every event carries its record's CPU in args. Timestamps are simulated
+// microseconds (cycles / clock MHz).
 
 #ifndef PPCMM_SRC_OBS_PERFETTO_H_
 #define PPCMM_SRC_OBS_PERFETTO_H_
@@ -15,7 +17,7 @@
 #include <vector>
 
 #include "src/obs/json.h"
-#include "src/sim/trace.h"
+#include "src/sim/attr.h"
 
 namespace ppcmm {
 
@@ -33,8 +35,8 @@ struct PerfettoExportOptions {
 JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
                             const PerfettoExportOptions& options = PerfettoExportOptions{});
 
-// Convenience: export a TraceBuffer's retained records and serialize.
-std::string PerfettoTraceString(const TraceBuffer& trace,
+// Convenience: export the ledger ring's retained records and serialize.
+std::string PerfettoTraceString(const CycleLedger& ledger,
                                 const PerfettoExportOptions& options = PerfettoExportOptions{});
 
 }  // namespace ppcmm

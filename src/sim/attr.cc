@@ -4,6 +4,26 @@
 
 namespace ppcmm {
 
+const char* TraceEventName(TraceEvent event) {
+  switch (event) {
+    case TraceEvent::kTlbMiss: return "tlb_miss";
+    case TraceEvent::kHtabMiss: return "htab_miss";
+    case TraceEvent::kPageFault: return "page_fault";
+    case TraceEvent::kCowFault: return "cow_fault";
+    case TraceEvent::kContextSwitch: return "context_switch";
+    case TraceEvent::kFlushPage: return "flush_page";
+    case TraceEvent::kFlushContext: return "flush_context";
+    case TraceEvent::kZombieReclaim: return "zombie_reclaim";
+    case TraceEvent::kSyscall: return "syscall";
+    case TraceEvent::kIdleSlice: return "idle_slice";
+    case TraceEvent::kDirtyBitUpdate: return "dirty_bit_update";
+    case TraceEvent::kFaultInjected: return "fault_injected";
+    case TraceEvent::kOomRollback: return "oom_rollback";
+    case TraceEvent::kVsidEpochRollover: return "vsid_epoch_rollover";
+  }
+  return "unknown";
+}
+
 const char* AttrCauseName(AttrCause cause) {
   switch (cause) {
     case AttrCause::kInstruction: return "instruction";
@@ -51,6 +71,9 @@ void CycleLedger::SetEnabled(bool enabled) {
     return;
   }
   if (enabled) {
+    if (ring_ == nullptr) {
+      ring_ = std::make_unique<TraceRecord[]>(kRingCapacity);
+    }
     // (Re)anchor the cached iterators: Clear() or first enable may have invalidated them.
     CellKey base;
     base.task = task_;
@@ -70,8 +93,7 @@ void CycleLedger::SetEnabled(bool enabled) {
 void CycleLedger::Clear() {
   cells_.clear();
   total_ = 0;
-  events_recorded_ = 0;
-  flight_ = {};
+  recorded_ = 0;
   // Scope stack survives (open CycleScopes still reference it); re-anchor if live.
   if (enabled_) {
     enabled_ = false;
@@ -98,15 +120,10 @@ void CycleLedger::Pop(uint64_t end_cycle, uint64_t elapsed_cycles) {
     return;  // scope outlived an enable/disable toggle; nothing to unwind
   }
   --depth_;
-  const Frame& frame = frames_[depth_];
-  AttrEvent& event = flight_[events_recorded_ % kFlightCapacity];
-  event.end_cycle = end_cycle;
-  event.cycles = elapsed_cycles;
-  event.task = task_;
-  event.cause = frame.cause;
-  event.depth = static_cast<uint8_t>(depth_ + 1);
-  event.cpu = static_cast<uint8_t>(cpu_);
-  ++events_recorded_;
+  Append() = TraceRecord{.cycle = end_cycle, .cycles = elapsed_cycles, .task = task_,
+                         .cause = frames_[depth_].cause,
+                         .depth = static_cast<uint8_t>(depth_ + 1),
+                         .cpu = static_cast<uint8_t>(cpu_)};
   path_[depth_] = 0;
   // The parent frame's cell iterator is still valid (map nodes are stable), but the task
   // may have changed inside the scope; charges belong to the task that is current *now*.
@@ -183,14 +200,12 @@ std::vector<CycleLedger::Cell> CycleLedger::Cells() const {
   return out;
 }
 
-std::vector<AttrEvent> CycleLedger::RecentEvents() const {
-  std::vector<AttrEvent> out;
-  const uint64_t count = events_recorded_ < kFlightCapacity ? events_recorded_
-                                                            : kFlightCapacity;
+std::vector<TraceRecord> CycleLedger::Records() const {
+  const uint64_t count = recorded_ < kRingCapacity ? recorded_ : kRingCapacity;
+  std::vector<TraceRecord> out;
   out.reserve(static_cast<size_t>(count));
-  const uint64_t start = events_recorded_ - count;
-  for (uint64_t i = 0; i < count; ++i) {
-    out.push_back(flight_[(start + i) % kFlightCapacity]);
+  for (uint64_t i = recorded_ - count; i < recorded_; ++i) {
+    out.push_back(ring_[i % kRingCapacity]);
   }
   return out;
 }

@@ -1,12 +1,15 @@
-// Simulated-cycle attribution: a ledger that charges every cycle the machine spends to a
-// cause taxonomy (instruction execution, TLB reload by strategy, hash-search depth, fault
-// kind, flush flavor, idle work, ...) keyed secondarily by the running task.
+// Simulated-cycle attribution and the machine's one event ring.
 //
-// The ledger lives in the sim layer (like TraceBuffer and LatencyProbes) so hot headers
-// stay obs-free; exporters (flamegraphs, JSON tables, diffs) live in src/obs/attr. The
-// contract mirrors the other observers: when disabled, the only cost on any hot path is
-// one predictable branch, and enabling it never advances the clock or perturbs a single
-// counter (tests/attr_test.cc proves both, bit-exactly).
+// The ledger charges every cycle the machine spends to a cause taxonomy (instruction
+// execution, TLB reload by strategy, hash-search depth, fault kind, flush flavor, idle work,
+// ...) keyed secondarily by the running task. Its ring keeps the most recent point events
+// (Machine::Trace) and scope closes (CycleScope), each stamped with cycle, task and CPU.
+// One switch, SetEnabled, turns on attribution, the ring and the machine's LatencyProbes.
+//
+// The ledger lives in the sim layer so hot headers stay obs-free; exporters (flamegraphs,
+// JSON tables, diffs, the ring dump, Perfetto) live in src/obs. When disabled, the only
+// cost on any hot path is one predictable branch, and enabling it never advances the clock
+// or perturbs a single counter (tests/attr_test.cc proves both, bit-exactly).
 //
 // Causes nest: Mmu::Reload opens a reload scope, the hash search inside it opens a depth
 // scope, so cycles land in a path like dtlb_reload_hw;hash_primary. An open scope is a
@@ -21,9 +24,31 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace ppcmm {
+
+// Point-event kinds, kept coarse on purpose: the ring answers "what happened around cycle
+// X", not "every memory reference".
+enum class TraceEvent : uint8_t {
+  kTlbMiss,            // a = effective page number, b = 1 for instruction side
+  kHtabMiss,           // a = effective page number
+  kPageFault,          // a = effective page number
+  kCowFault,           // a = effective page number
+  kContextSwitch,      // a = previous task id, b = next task id
+  kFlushPage,          // a = effective page number
+  kFlushContext,       // a = retired context, b = fresh context
+  kZombieReclaim,      // a = entries reclaimed in this idle pass
+  kSyscall,            // a = kernel-op discriminator
+  kIdleSlice,          // a = budget in cycles (truncated)
+  kDirtyBitUpdate,     // a = effective page number
+  kFaultInjected,      // a = FaultClass, b = total fires of that class so far
+  kOomRollback,        // a = kernel-op discriminator of the aborted operation
+  kVsidEpochRollover,  // a = new epoch count (truncated)
+};
+
+const char* TraceEventName(TraceEvent event);
 
 // The cause taxonomy. Order is part of the export format only through AttrCauseName;
 // appending is always safe.
@@ -70,27 +95,33 @@ enum class AttrCause : uint8_t {
   kNumCauses,  // sentinel, not a cause
 };
 
-// Stable snake_case name used in folded stacks, JSON exports, and flight-recorder dumps.
+// Stable snake_case name used in folded stacks, JSON exports, and ring dumps.
 const char* AttrCauseName(AttrCause cause);
 
-// One recent attributed event, recorded when a scope closes. POD so the flight-recorder
-// ring is a fixed-size array with no per-event allocation.
-struct AttrEvent {
-  uint64_t end_cycle = 0;  // simulated cycle at which the scope closed
-  uint64_t cycles = 0;     // clock advance across the scope (including nested scopes)
-  uint32_t task = 0;       // task current when the scope closed
-  AttrCause cause = AttrCause::kInstruction;  // leaf cause of the closed scope
-  uint8_t depth = 0;                          // nesting depth of the closed scope (1 = root)
-  uint8_t cpu = 0;                            // CPU current when the scope closed
+// One ring record, POD so the ring is a fixed array with no per-event allocation. A point
+// record (depth 0) is a Machine::Trace event with its payload in a/b. A scope record
+// (depth >= 1) is a CycleScope closing: its leaf cause, nesting depth and the clock
+// advance across it. Both carry the cycle they were appended at and the ledger's task and
+// CPU at that moment.
+struct TraceRecord {
+  uint64_t cycle = 0;
+  uint64_t cycles = 0;  // scope records: clock advance across the scope (nested included)
+  uint32_t a = 0;
+  uint32_t b = 0;
+  uint32_t task = 0;
+  TraceEvent event = TraceEvent::kTlbMiss;    // point records
+  AttrCause cause = AttrCause::kInstruction;  // scope records
+  uint8_t depth = 0;                          // 0 = point record, 1 = outermost scope
+  uint8_t cpu = 0;
+  bool is_scope() const { return depth != 0; }
 };
 
-// The attribution ledger. One per Machine; all mutation goes through CycleScope
-// (src/sim/machine.h) except SetCurrentTask, which the kernel mirrors alongside
-// TraceBuffer::SetCurrentTask.
+// The attribution ledger. One per Machine; all mutation goes through CycleScope and
+// Machine (src/sim/machine.h) except SetCurrentTask, which the kernel's scheduler calls.
 class CycleLedger {
  public:
   static constexpr uint32_t kMaxDepth = 8;
-  static constexpr uint32_t kFlightCapacity = 256;
+  static constexpr uint32_t kRingCapacity = 4096;
 
   // Identifies one attribution cell: the open-scope cause path (bytes are cause+1 so a
   // zero byte means "unused level"; all-zero = the base instruction cell) and the task.
@@ -111,9 +142,9 @@ class CycleLedger {
   };
 
   bool enabled() const { return enabled_; }
-  // Enabling starts attribution from the current cycle; disabling freezes the ledger
-  // (cells and the flight ring remain readable). Enabling resets nothing — call Clear()
-  // for a fresh window.
+  // Enabling starts attribution, the ring and the latency probes from the current cycle
+  // (the ring's storage is allocated on first enable); disabling freezes them (cells and
+  // ring remain readable). Enabling resets nothing — call Clear() for a fresh window.
   void SetEnabled(bool enabled);
   void Clear();
 
@@ -127,6 +158,15 @@ class CycleLedger {
     total_ += cycles;
   }
 
+  // Appends a point record at `cycle`. Called from Machine::Trace.
+  void RecordPoint(uint64_t cycle, TraceEvent event, uint32_t a, uint32_t b) {
+    if (!enabled_) {
+      return;
+    }
+    Append() = TraceRecord{.cycle = cycle, .a = a, .b = b, .task = task_, .event = event,
+                           .cpu = static_cast<uint8_t>(cpu_)};
+  }
+
   // Scope stack. Push/Pop are driven by CycleScope; Rebind reclassifies the innermost
   // scope after the fact (e.g. a hash search discovers only on return whether it stayed
   // in the primary PTEG), moving the cycles already charged to its leaf cell. Rebind must
@@ -136,13 +176,14 @@ class CycleLedger {
   void Pop(uint64_t end_cycle, uint64_t elapsed_cycles);
   void Rebind(AttrCause cause);
 
-  // Mirrors the scheduler: subsequent base-cell charges (and new scopes) belong to `task`.
+  // Mirrors the scheduler: subsequent base-cell charges (and new scopes) belong to `task`,
+  // and ring records appended from now on are stamped with it.
   void SetCurrentTask(uint32_t task);
   uint32_t current_task() const { return task_; }
 
-  // Mirrors the SMP interleaver: flight-recorder events closed from now on are stamped
-  // with `cpu`. Cells stay keyed by (path, task) only — the per-CPU view lives in the
-  // flight ring and the per-CPU cycle clocks, not in the attribution table.
+  // Mirrors the SMP interleaver: ring records appended from now on are stamped with `cpu`.
+  // Cells stay keyed by (path, task) only — the per-CPU view lives in the ring and the
+  // per-CPU cycle clocks, not in the attribution table.
   void SetCurrentCpu(uint32_t cpu) { cpu_ = cpu; }
   uint32_t current_cpu() const { return cpu_; }
 
@@ -154,13 +195,15 @@ class CycleLedger {
   // Snapshot of every cell, deterministically ordered (path bytes, then task).
   std::vector<Cell> Cells() const;
 
-  // Flight recorder: the most recent closed scopes, oldest first. Capacity is fixed;
-  // older events are overwritten.
-  std::vector<AttrEvent> RecentEvents() const;
-  uint64_t events_recorded() const { return events_recorded_; }
+  // The ring: the most recent kRingCapacity records, oldest first; older ones are
+  // overwritten. TotalRecorded counts every append since Clear, dropped ones included.
+  std::vector<TraceRecord> Records() const;
+  uint64_t TotalRecorded() const { return recorded_; }
 
  private:
   uint64_t* FindOrCreateCell(const CellKey& key);
+  // The slot the next record goes to, overwriting the oldest once the ring is full.
+  TraceRecord& Append() { return ring_[recorded_++ % kRingCapacity]; }
 
   bool enabled_ = false;
   uint32_t task_ = 0;
@@ -184,9 +227,9 @@ class CycleLedger {
   std::map<CellKey, uint64_t>::iterator base_cell_;  // cached [kInstruction-path, task_]
   std::map<CellKey, uint64_t>::iterator current_;    // innermost open cell (or base)
 
-  // Flight ring.
-  std::array<AttrEvent, kFlightCapacity> flight_ = {};
-  uint64_t events_recorded_ = 0;
+  // The ring: heap storage so Machine stays small, null until first enabled.
+  std::unique_ptr<TraceRecord[]> ring_;
+  uint64_t recorded_ = 0;
 };
 
 }  // namespace ppcmm

@@ -17,10 +17,8 @@ Machine::Machine(const MachineConfig& config)
     l2_ = std::make_unique<Cache>("l2", config.l2, config.memory);
   }
 #ifdef PPCMM_OBS_FORCE_ENABLE
-  // The `obs` build preset: every machine comes up with tracing and latency probes live,
-  // so ad-hoc runs produce exportable data without per-binary plumbing.
-  trace_.Enable();
-  probes_.SetEnabled(true);
+  // The `obs` build preset: every machine comes up observing (attribution, ring and
+  // latency probes), so ad-hoc runs produce exportable data without per-binary plumbing.
   attr_.SetEnabled(true);
 #endif
 }

@@ -8,19 +8,17 @@
 #define PPCMM_SRC_SIM_MACHINE_H_
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/sim/attr.h"
-#include "src/sim/probes.h"
 #include "src/sim/cache.h"
 #include "src/sim/cycle_types.h"
 #include "src/sim/hw_counters.h"
 #include "src/sim/machine_config.h"
-#include <memory>
-
 #include "src/sim/memory.h"
 #include "src/sim/phys_addr.h"
-#include "src/sim/trace.h"
+#include "src/sim/probes.h"
 
 namespace ppcmm {
 
@@ -48,7 +46,7 @@ class Machine {
   //
   // The machine simulates N CPUs by time-multiplexing one deterministic execution spotlight
   // over a single global cycle clock: SetCurrentCpu redirects the hot paths at CPU `cpu`'s
-  // caches and stamps subsequent attribution events, it never advances the clock. Per-CPU
+  // caches and stamps subsequent ring records, it never advances the clock. Per-CPU
   // local clocks (CpuCycles) record how much of the global timeline each CPU consumed, so
   // interleaving drivers can pick the least-advanced CPU next.
   uint32_t ncpus() const { return config_.ncpus; }
@@ -73,21 +71,29 @@ class Machine {
   }
   HwCounters& counters() { return counters_; }
   const HwCounters& counters() const { return counters_; }
-  TraceBuffer& trace() { return trace_; }
   LatencyProbes& probes() { return probes_; }
   const LatencyProbes& probes() const { return probes_; }
+  // The ledger and its ring; attr().SetEnabled is the one observation switch.
   CycleLedger& attr() { return attr_; }
   const CycleLedger& attr() const { return attr_; }
 
-  // Records an event at the current cycle (no-op unless tracing is enabled).
+  // The observation hooks: each is one predictable branch while observation is off, and
+  // none ever advances the clock.
+  // Appends a point record to the ring at the current cycle.
   void Trace(TraceEvent event, uint32_t a = 0, uint32_t b = 0) {
-    trace_.Record(counters_.cycles, event, a, b);
+    attr_.RecordPoint(counters_.cycles, event, a, b);
   }
-
-  // Records the elapsed simulated cycles since `start` into a latency histogram (no-op
-  // unless probes are enabled). Pure observation: never advances the clock.
+  // Records the elapsed simulated cycles since `start` into a latency histogram.
   void RecordLatency(LatencyProbe probe, Cycles start) {
-    probes_.Record(probe, counters_.cycles - start.value);
+    if (attr_.enabled()) {
+      probes_.Record(probe, counters_.cycles - start.value);
+    }
+  }
+  // Counts an HTAB lookup that missed its primary PTEG `pteg_index` (§5.2).
+  void RecordHashMiss(uint32_t pteg_index) {
+    if (attr_.enabled()) {
+      probes_.RecordHashMiss(pteg_index);
+    }
   }
 
   // Adds raw execution cycles (instruction issue, interrupt overheads, handler bodies).
@@ -182,7 +188,6 @@ class Machine {
   std::vector<std::unique_ptr<ExtraCore>> extra_cores_;
   std::unique_ptr<Cache> l2_;
   HwCounters counters_;
-  TraceBuffer trace_;
   LatencyProbes probes_;
   CycleLedger attr_;
   // SMP spotlight: which CPU the hot paths currently model. The pointers are the only

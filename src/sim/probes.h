@@ -2,10 +2,11 @@
 //
 // The Machine owns one LatencyProbes hub. Layers above (MMU reload, fault handlers, flush
 // engine, idle reclaim) bracket their work with Machine::Now() and call Record with the
-// elapsed simulated cycles. The hub is gated: when disabled (the default), Record is a
-// single predictable branch and no histogram memory is touched, so instrumented and
-// uninstrumented runs stay cycle-identical — the simulation clock only advances through
-// Machine::AddCycles, never through observation.
+// elapsed simulated cycles. Machine gates every record on the one observation switch
+// (CycleLedger::SetEnabled): while it is off, Machine::RecordLatency and
+// Machine::RecordHashMiss are a single predictable branch and no histogram memory is
+// touched, so instrumented and uninstrumented runs stay cycle-identical — the simulation
+// clock only advances through Machine::AddCycles, never through observation.
 
 #ifndef PPCMM_SRC_SIM_PROBES_H_
 #define PPCMM_SRC_SIM_PROBES_H_
@@ -35,16 +36,10 @@ inline constexpr uint32_t kNumLatencyProbes = 8;
 const char* LatencyProbeName(LatencyProbe probe);
 
 // The per-machine collection of latency histograms plus the §5.2 per-PTEG hash-miss
-// counters. Disabled by default; all recording is a no-op until SetEnabled(true).
+// counters. Records unconditionally; Machine decides whether to call.
 class LatencyProbes {
  public:
-  bool enabled() const { return enabled_; }
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
-
   void Record(LatencyProbe probe, uint64_t cycles) {
-    if (!enabled_) {
-      return;
-    }
     histograms_[static_cast<uint32_t>(probe)].Record(cycles);
   }
 
@@ -52,9 +47,6 @@ class LatencyProbes {
   // indices is what the paper's VSID scatter constant was tuned against. The vector grows
   // on demand so an unused hub costs no memory.
   void RecordHashMiss(uint32_t pteg_index) {
-    if (!enabled_) {
-      return;
-    }
     if (pteg_index >= hash_miss_per_pteg_.size()) {
       hash_miss_per_pteg_.resize(pteg_index + 1, 0);
     }
@@ -72,7 +64,6 @@ class LatencyProbes {
   void Clear();
 
  private:
-  bool enabled_ = false;
   std::array<LatencyHistogram, kNumLatencyProbes> histograms_;
   std::vector<uint64_t> hash_miss_per_pteg_;
 };

@@ -399,8 +399,8 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
   machine.ncpus = options.ncpus == 0 ? 1 : options.ncpus;
 
   System sys(machine, config);
-  // Flight recorder: on divergence the report carries the last attributed events, and every
-  // lockstep run doubles as proof that attribution does not perturb the simulation.
+  // Observation on: on divergence the report carries the ledger ring's newest records, and
+  // every lockstep run doubles as proof that observing does not perturb the simulation.
   sys.machine().attr().SetEnabled(true);
   if (options.break_tlb_invalidate) {
     sys.kernel().flusher().TestOnlyBreakTlbInvalidate(true);
@@ -481,7 +481,7 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
     std::ostringstream replay;
     replay << "fuzz seed=" << stream.seed << "; replay: examples/fuzz --seed "
            << stream.seed << " --preset " << options.config_name;
-    oss << FlightRecorderDump(sys.machine().attr(), replay.str());
+    oss << RingDump(sys.machine().attr(), replay.str());
     result.report = oss.str();
   }
   return result;

@@ -45,9 +45,9 @@ struct TortureOptions {
   // Simulated RAM; 0 = the machine profile's default (32 MB). Small values (e.g. 8 MB)
   // drive genuine allocator exhaustion without fault injection.
   uint64_t ram_bytes = 0;
-  // Record the machine's trace ring during the run. On failure the trailing ring and a
-  // metrics snapshot are appended to failure_report; on any exit the exported documents
-  // land in trace_json / metrics_json (for --trace-out and post-mortem tooling).
+  // Export what the run observed. On failure a metrics snapshot is appended to
+  // failure_report (the ledger ring is appended either way); on any exit the exported
+  // documents land in trace_json / metrics_json (for --trace-out and post-mortem tooling).
   bool capture_trace = true;
 };
 
@@ -61,7 +61,7 @@ struct TortureResult {
   AuditStats audit_stats;
   std::string config_desc;
   std::string failure_report;  // empty unless failed: seed, config, op index, op-trace tail
-  // Perfetto trace-event JSON of the retained trace ring and a metrics-snapshot JSON,
+  // Perfetto trace-event JSON of the retained ledger ring and a metrics-snapshot JSON,
   // both empty when capture_trace is off.
   std::string trace_json;
   std::string metrics_json;

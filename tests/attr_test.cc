@@ -4,12 +4,12 @@
 //     the machine simulated — no cycle is lost, none is double-counted, and there is no
 //     "unknown" bucket to hide in (the base cell is "instruction" by construction). Checked
 //     across every fuzz preset x reload strategy combination.
-//  2. Zero perturbation: attribution (on or off) never changes what the simulation does —
-//     hardware counters are identical with the ledger enabled, and a disabled ledger
-//     records nothing at all.
+//  2. Zero perturbation: observation (on or off) never changes what the simulation does —
+//     hardware counters are identical with every observer running (ledger, ring, latency
+//     probes, timeline sampler, metrics), and with the switch off nothing is recorded.
 //
-// Plus unit coverage for the ledger mechanics (Rebind, nesting, per-task cells, the flight
-// ring) and the src/obs/attr exporters built on top.
+// Plus unit coverage for the ledger mechanics (Rebind, nesting, per-task cells, the ring)
+// and the src/obs/attr exporters built on top.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,8 @@
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
 #include "src/obs/attr/attr_export.h"
+#include "src/obs/metrics.h"
+#include "src/obs/timeline.h"
 #include "src/verify/fuzz/differential.h"
 #include "src/verify/torture.h"
 
@@ -98,17 +100,30 @@ TEST(AttrTest, EnabledAttributionDoesNotPerturbTheSimulation) {
 
   System on(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
   on.machine().attr().SetEnabled(true);
+  TimelineSampler sampler(on, Cycles(1000));
+  sampler.Install();
   Workload(on);
 
-  EXPECT_GT(on.machine().attr().events_recorded(), 0u);
+  // Every observer really observed something...
+  EXPECT_GT(on.machine().attr().TotalAttributed(), 0u);
+  EXPECT_GT(on.machine().attr().TotalRecorded(), 0u);
+  EXPECT_GT(on.machine().probes().TotalRecorded(), 0u);
+  EXPECT_FALSE(on.machine().probes().hash_miss_per_pteg().empty());
+  EXPECT_GT(sampler.samples().size(), 0u);
+  EXPECT_GT(MetricsRegistry(on).Snapshot().counters.size(), 0u);
+
+  // ...and yet every hardware counter — cycles first of all — is identical.
   const HwCounters& c_off = off.counters();
   const HwCounters& c_on = on.counters();
   c_off.ForEachField([&](const char* name, uint64_t value_off, bool) {
+    bool found = false;
     c_on.ForEachField([&](const char* on_name, uint64_t value_on, bool) {
       if (std::string(name) == on_name) {
         EXPECT_EQ(value_off, value_on) << name;
+        found = true;
       }
     });
+    EXPECT_TRUE(found) << name;
   });
   EXPECT_EQ(c_off.cycles, c_on.cycles);
 }
@@ -117,11 +132,22 @@ TEST(AttrTest, DisabledLedgerRecordsNothing) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
   ASSERT_FALSE(sys.machine().attr().enabled());
   Workload(sys);
+  // The workload crossed every Machine::Trace, RecordLatency and RecordHashMiss hook;
+  // none of them wrote anything, while the hardware counters kept counting.
   EXPECT_EQ(sys.machine().attr().TotalAttributed(), 0u);
   EXPECT_TRUE(sys.machine().attr().Cells().empty());
-  EXPECT_TRUE(sys.machine().attr().RecentEvents().empty());
-  EXPECT_EQ(sys.machine().attr().events_recorded(), 0u);
+  EXPECT_TRUE(sys.machine().attr().Records().empty());
+  EXPECT_EQ(sys.machine().attr().TotalRecorded(), 0u);
+  EXPECT_EQ(sys.machine().probes().TotalRecorded(), 0u);
+  EXPECT_TRUE(sys.machine().probes().hash_miss_per_pteg().empty());
   EXPECT_GT(sys.counters().cycles, 0u);
+  EXPECT_GT(sys.counters().page_faults, 0u);
+  EXPECT_GT(sys.counters().htab_misses, 0u);
+  // The metrics view over an unobserved machine reports zero latency samples.
+  const MetricsSnapshot snap = MetricsRegistry(sys).Snapshot();
+  const uint64_t* count = snap.FindCounter("lat.page_fault.count");
+  ASSERT_NE(count, nullptr);
+  EXPECT_EQ(*count, 0u);
 }
 
 TEST(AttrTest, ScopesNestAndRebindMovesCycles) {
@@ -172,21 +198,46 @@ TEST(AttrTest, CellsAreKeyedByTask) {
 TEST(AttrTest, FlightRingKeepsTheNewestEvents) {
   Machine machine(MachineConfig::Ppc604(185));
   machine.attr().SetEnabled(true);
-  for (uint32_t i = 0; i < 300; ++i) {
+  // Each iteration appends a point record, then its scope's close record.
+  constexpr uint32_t kIterations = CycleLedger::kRingCapacity / 2 + 100;
+  for (uint32_t i = 1; i <= kIterations; ++i) {
     CycleScope scope(machine, AttrCause::kSyscall);
-    machine.AddCycles(Cycles(i + 1));
+    machine.AddCycles(Cycles(i));
+    machine.Trace(TraceEvent::kSyscall, i, 7);
   }
-  EXPECT_EQ(machine.attr().events_recorded(), 300u);
-  const std::vector<AttrEvent> events = machine.attr().RecentEvents();
-  ASSERT_EQ(events.size(), CycleLedger::kFlightCapacity);
-  // Oldest-first window over the last 256 of 300 closes: cycles 45, 46, ..., 300.
-  EXPECT_EQ(events.front().cycles, 300u - CycleLedger::kFlightCapacity + 1);
-  EXPECT_EQ(events.back().cycles, 300u);
-  EXPECT_EQ(events.back().cause, AttrCause::kSyscall);
+  EXPECT_EQ(machine.attr().TotalRecorded(), 2u * kIterations);
+  const std::vector<TraceRecord> records = machine.attr().Records();
+  ASSERT_EQ(records.size(), CycleLedger::kRingCapacity);
+  // Oldest first: the window holds the last kRingCapacity / 2 iterations, in order, each
+  // point followed by its scope close.
+  const uint32_t first = kIterations - CycleLedger::kRingCapacity / 2 + 1;
+  for (size_t k = 0; k < records.size(); k += 2) {
+    const uint32_t i = first + static_cast<uint32_t>(k / 2);
+    const TraceRecord& point = records[k];
+    const TraceRecord& scope = records[k + 1];
+    ASSERT_FALSE(point.is_scope()) << k;
+    EXPECT_EQ(point.event, TraceEvent::kSyscall);
+    EXPECT_EQ(point.a, i);
+    EXPECT_EQ(point.b, 7u);
+    ASSERT_TRUE(scope.is_scope()) << k;
+    EXPECT_EQ(scope.cause, AttrCause::kSyscall);
+    EXPECT_EQ(scope.depth, 1u);
+    EXPECT_EQ(scope.cycles, i);
+    EXPECT_EQ(scope.cycle, point.cycle);
+    if (k > 0) {
+      EXPECT_EQ(point.cycle, records[k - 1].cycle + i);
+    }
+  }
 
-  const std::string dump = FlightRecorderDump(machine.attr(), "unit test");
-  EXPECT_NE(dump.find("flight recorder: unit test"), std::string::npos);
-  EXPECT_NE(dump.find("syscall"), std::string::npos);
+  const std::string dump = RingDump(machine.attr(), "unit test", 4);
+  EXPECT_NE(dump.find("event ring: unit test"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("last 4 of " + std::to_string(2 * kIterations)), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("syscall"), std::string::npos) << dump;
+  static_assert(kIterations == 0x864);
+  EXPECT_NE(dump.find("a=0x864 b=0x7"), std::string::npos) << dump;
+  EXPECT_NE(dump.find(std::to_string(kIterations) + " cycles"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("cpu=0"), std::string::npos) << dump;
 }
 
 TEST(AttrTest, ExportersRoundTrip) {
@@ -241,12 +292,19 @@ TEST(AttrTest, ClearResetsButStaysEnabled) {
   {
     CycleScope scope(machine, AttrCause::kExec);
     machine.AddCycles(Cycles(5));
+    machine.Trace(TraceEvent::kFlushContext, 7, 8);
   }
+  ASSERT_EQ(machine.attr().TotalRecorded(), 2u);
   machine.attr().Clear();
   EXPECT_EQ(machine.attr().TotalAttributed(), 0u);
-  EXPECT_EQ(machine.attr().events_recorded(), 0u);
-  machine.AddCycles(Cycles(3));  // still attributing after Clear
+  EXPECT_EQ(machine.attr().TotalRecorded(), 0u);
+  EXPECT_TRUE(machine.attr().Records().empty());
+  EXPECT_NE(RingDump(machine.attr(), "cleared").find("no records"), std::string::npos);
+  machine.AddCycles(Cycles(3));  // still attributing and recording after Clear
+  machine.Trace(TraceEvent::kSyscall, 1);
   EXPECT_EQ(machine.attr().TotalAttributed(), 3u);
+  ASSERT_EQ(machine.attr().Records().size(), 1u);
+  EXPECT_EQ(machine.attr().Records()[0].event, TraceEvent::kSyscall);
 }
 
 }  // namespace

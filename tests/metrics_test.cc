@@ -31,7 +31,7 @@ TaskId RunWorkload(System& sys) {
 
 TEST(MetricsTest, SnapshotCoversAllNameFamilies) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.machine().probes().SetEnabled(true);
+  sys.machine().attr().SetEnabled(true);
   const TaskId a = RunWorkload(sys);
 
   const MetricsRegistry registry(sys);
@@ -104,7 +104,7 @@ TEST(MetricsTest, DiffSubtractsCountersKeepsGauges) {
 
 TEST(MetricsTest, JsonRoundTrips) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.machine().probes().SetEnabled(true);
+  sys.machine().attr().SetEnabled(true);
   RunWorkload(sys);
   const MetricsSnapshot snap = MetricsRegistry(sys).Snapshot();
 

@@ -1,8 +1,10 @@
 // Perfetto exporter tests: a golden document for a minimal record set, plus structural
-// checks (valid JSON, monotonic timestamps, pid/tid mapping, flow pairs) on a real trace.
+// checks (valid JSON, monotonic timestamps, pid/tid mapping, flow pairs, slices, CPUs) on
+// real runs.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,7 +43,7 @@ TEST(PerfettoTest, GoldenMinimalDocument) {
       "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":3,"
       "\"args\":{\"name\":\"task 3\"}},"
       "{\"name\":\"tlb_miss\",\"cat\":\"mmu\",\"ph\":\"i\",\"s\":\"t\",\"ts\":2,"
-      "\"pid\":1,\"tid\":3,\"args\":{\"a\":256,\"b\":0,\"cycle\":200}}"
+      "\"pid\":1,\"tid\":3,\"args\":{\"a\":256,\"b\":0,\"cycle\":200,\"cpu\":0}}"
       "],\"displayTimeUnit\":\"ms\"}";
   EXPECT_EQ(PerfettoTraceJson(records, options).Serialize(), expected);
 }
@@ -96,7 +98,7 @@ TEST(PerfettoTest, ExplicitTaskNamesWinOverDefaults) {
 
 TEST(PerfettoTest, RealTraceIsValidMonotonicAndAttributed) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.machine().trace().Enable();
+  sys.machine().attr().SetEnabled(true);
   Kernel& kernel = sys.kernel();
   const TaskId a = kernel.CreateTask("a");
   const TaskId b = kernel.CreateTask("b");
@@ -113,15 +115,22 @@ TEST(PerfettoTest, RealTraceIsValidMonotonicAndAttributed) {
   PerfettoExportOptions options;
   options.clock_mhz = sys.machine_config().clock_mhz;
   options.pid = 42;
-  const std::string text = PerfettoTraceString(sys.machine().trace(), options);
+  const std::string text = PerfettoTraceString(sys.machine().attr(), options);
   std::string error;
   const auto parsed = JsonValue::Parse(text, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->Find("displayTimeUnit")->AsString(), "ms");
 
-  const auto records = sys.machine().trace().Records();
-  double last_ts = -1.0;
-  size_t instants = 0;
+  const auto records = sys.machine().attr().Records();
+  ASSERT_LT(records.size(), CycleLedger::kRingCapacity);  // nothing dropped
+  std::vector<const TraceRecord*> points;
+  std::vector<const TraceRecord*> scopes;
+  for (const TraceRecord& r : records) {
+    (r.is_scope() ? scopes : points).push_back(&r);
+  }
+  double last_end = -1.0;
+  std::vector<const JsonValue*> instants;
+  std::vector<const JsonValue*> slices;
   size_t flows = 0;
   for (const JsonValue& e : parsed->Find("traceEvents")->Items()) {
     EXPECT_DOUBLE_EQ(e.Find("pid")->AsNumber(), 42.0);
@@ -129,34 +138,77 @@ TEST(PerfettoTest, RealTraceIsValidMonotonicAndAttributed) {
     if (ph == "M") {
       continue;
     }
-    const double ts = e.Find("ts")->AsNumber();
-    EXPECT_GE(ts, last_ts);
-    last_ts = ts;
+    // Events appear in ring order: by the cycle each record was appended at, which is a
+    // slice's end (ts + dur, equal to the end cycle up to rounding far below one cycle).
+    const JsonValue* dur = e.Find("dur");
+    const double end = e.Find("ts")->AsNumber() + (dur != nullptr ? dur->AsNumber() : 0.0);
+    EXPECT_GE(end, last_end - 1e-6);
+    last_end = end;
     if (ph == "i") {
-      ++instants;
+      instants.push_back(&e);
+    } else if (ph == "X") {
+      slices.push_back(&e);
     } else {
       ++flows;
     }
   }
-  // One instant per record; one s+f pair per context switch.
-  EXPECT_EQ(instants, records.size());
+  // One instant per point record, one slice per scope close, one s+f pair per switch.
+  ASSERT_EQ(instants.size(), points.size());
+  ASSERT_EQ(slices.size(), scopes.size());
+  EXPECT_GT(slices.size(), 0u);
   size_t switches = 0;
-  for (const TraceRecord& r : records) {
-    switches += r.event == TraceEvent::kContextSwitch ? 1 : 0;
+  for (const TraceRecord* r : points) {
+    switches += r->event == TraceEvent::kContextSwitch ? 1 : 0;
   }
   EXPECT_GE(switches, 2u);
   EXPECT_EQ(flows, 2 * switches);
 
-  // Instants sit on the track of the task they were attributed to.
-  size_t i = 0;
+  // Each event sits on the track of the task its record was stamped with.
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_DOUBLE_EQ(instants[i]->Find("tid")->AsNumber(), static_cast<double>(points[i]->task));
+    EXPECT_EQ(instants[i]->Find("name")->AsString(), TraceEventName(points[i]->event));
+  }
+  for (size_t i = 0; i < scopes.size(); ++i) {
+    EXPECT_DOUBLE_EQ(slices[i]->Find("tid")->AsNumber(), static_cast<double>(scopes[i]->task));
+    EXPECT_EQ(slices[i]->Find("name")->AsString(), AttrCauseName(scopes[i]->cause));
+    EXPECT_DOUBLE_EQ(slices[i]->Find("args")->Find("cycles")->AsNumber(),
+                     static_cast<double>(scopes[i]->cycles));
+  }
+}
+
+TEST(PerfettoTest, SmpExportCarriesTheCpuOfEveryRecord) {
+  MachineConfig machine = MachineConfig::Ppc604(185);
+  machine.ncpus = 2;
+  System sys(machine, OptimizationConfig::AllOptimizations());
+  sys.machine().attr().SetEnabled(true);
+  Kernel& kernel = sys.kernel();
+  const TaskId a = kernel.CreateTask("a");
+  const TaskId b = kernel.CreateTask("b");
+  kernel.Exec(a, ExecImage{});
+  kernel.Exec(b, ExecImage{});
+  kernel.SwitchTo(a);
+  kernel.UserTouch(EffAddr(kUserDataBase), AccessKind::kStore);
+  kernel.SwitchCpu(1);
+  kernel.SwitchTo(b);
+  kernel.UserTouch(EffAddr(kUserDataBase), AccessKind::kStore);
+
+  const auto parsed = JsonValue::Parse(PerfettoTraceString(sys.machine().attr()));
+  ASSERT_TRUE(parsed.has_value());
+  std::set<uint32_t> instant_cpus;
   for (const JsonValue& e : parsed->Find("traceEvents")->Items()) {
-    if (e.Find("ph")->AsString() != "i") {
+    if (e.Find("ph")->AsString() == "M") {
       continue;
     }
-    EXPECT_DOUBLE_EQ(e.Find("tid")->AsNumber(), static_cast<double>(records[i].task));
-    EXPECT_EQ(e.Find("name")->AsString(), TraceEventName(records[i].event));
-    ++i;
+    const JsonValue* args = e.Find("args");
+    ASSERT_NE(args, nullptr);
+    const JsonValue* cpu = args->Find("cpu");
+    ASSERT_NE(cpu, nullptr);
+    if (e.Find("ph")->AsString() == "i") {
+      instant_cpus.insert(static_cast<uint32_t>(cpu->AsNumber()));
+    }
   }
+  // Point records from both CPUs reach the export.
+  EXPECT_EQ(instant_cpus, (std::set<uint32_t>{0, 1}));
 }
 
 }  // namespace
